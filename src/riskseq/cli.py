@@ -12,7 +12,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -301,10 +301,7 @@ def _sweep_train(args, run_cfg, overrides: dict):
     src_vocab, tgt_vocab, model_cfg, train_corpus, valid_corpus = _load_train_inputs(
         args, run_cfg
     )
-    cfg = _train_config(args, run_cfg)
-    for key, val in overrides.items():
-        setattr(cfg, key, val)
-    cfg.criterion = "mrt"
+    cfg = replace(_train_config(args, run_cfg), criterion="mrt", **overrides)
     result = trainer.train(cfg, model_cfg, train_corpus, valid_corpus)
     if result.best_bleu is None:
         raise TrainError("sweep run produced no validation score")

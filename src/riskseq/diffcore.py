@@ -9,6 +9,7 @@ inputs yields identical bits.
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Callable, Sequence
 
@@ -326,10 +327,14 @@ class ParamStore:
     """Named parameter tensors with a stable linear index over all scalars.
 
     Insertion order defines the linear index. Serialization round-trips
-    byte-identically (little-endian f64, magic "RSQ1").
+    byte-identically: magic "RSQ2", the tensor count, then per tensor its
+    name, rank, dims and little-endian f64 data (u32 lengths). Loading is
+    strict: a short or overlong file raises ``DiffError``. Files with the
+    older magic "RSQ1" carry no count and still load.
     """
 
-    MAGIC = b"RSQ1"
+    MAGIC = b"RSQ2"
+    LEGACY_MAGIC = b"RSQ1"
 
     def __init__(self):
         self._tensors: dict[str, np.ndarray] = {}
@@ -389,6 +394,7 @@ class ParamStore:
     def save(self, path: str) -> None:
         with open(path, "wb") as fh:
             fh.write(self.MAGIC)
+            fh.write(struct.pack("<I", len(self._tensors)))
             for name, arr in self._tensors.items():
                 encoded = name.encode("utf-8")
                 fh.write(struct.pack("<I", len(encoded)))
@@ -400,24 +406,42 @@ class ParamStore:
 
     @classmethod
     def load(cls, path: str) -> "ParamStore":
-        store = cls()
         with open(path, "rb") as fh:
-            magic = fh.read(4)
-            if magic != cls.MAGIC:
-                raise DiffError(f"bad checkpoint magic: {magic!r}")
-            while True:
-                header = fh.read(4)
-                if not header:
-                    break
-                (name_len,) = struct.unpack("<I", header)
-                name = fh.read(name_len).decode("utf-8")
-                (rank,) = struct.unpack("<I", fh.read(4))
-                dims = [
-                    struct.unpack("<I", fh.read(4))[0] for _ in range(rank)
-                ]
-                count = int(np.prod(dims)) if dims else 1
-                data = np.frombuffer(fh.read(count * 8), dtype="<f8")
-                store.add(name, data.reshape(dims))
+            buf = fh.read()
+        magic = buf[:4]
+        if magic not in (cls.MAGIC, cls.LEGACY_MAGIC):
+            raise DiffError(f"bad checkpoint magic: {magic!r}")
+        pos = 4
+
+        def take(n: int) -> bytes:
+            nonlocal pos
+            if n > len(buf) - pos:
+                raise DiffError(
+                    f"truncated checkpoint {path}: {n} bytes needed at "
+                    f"offset {pos}, {len(buf) - pos} left"
+                )
+            pos += n
+            return buf[pos - n : pos]
+
+        def u32() -> int:
+            return struct.unpack("<I", take(4))[0]
+
+        store = cls()
+        legacy = magic == cls.LEGACY_MAGIC
+        count = None if legacy else u32()
+        while pos < len(buf) if legacy else len(store._tensors) < count:
+            try:
+                name = take(u32()).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DiffError(f"bad tensor name in {path}: {exc}") from None
+            dims = [u32() for _ in range(u32())]
+            data = np.frombuffer(take(8 * math.prod(dims)), dtype="<f8")
+            store.add(name, data.reshape(dims).copy())  # writable, unlike the buffer
+        if pos != len(buf):
+            raise DiffError(
+                f"checkpoint {path}: {len(buf) - pos} trailing bytes after "
+                f"{count} tensors"
+            )
         return store
 
 

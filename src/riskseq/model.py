@@ -31,8 +31,6 @@ __all__ = [
     "StepState",
     "BoundModel",
     "init_params",
-    "encode",
-    "decode_step",
     "sequence_logprob",
     "save_model",
     "load_model",
@@ -272,21 +270,7 @@ def _validate_target(tgt: Sequence[int], vocab_size: int) -> None:
         raise ModelError("EOS before the end of the target sequence")
 
 
-# -- module-level convenience wrappers (fresh parameter binding per call) --
-
-
-def encode(params: ParamStore, src: Sequence[int], tape: Tape) -> Annotations:
-    return BoundModel(params, tape).encode(src)
-
-
-def decode_step(
-    params: ParamStore,
-    prev_word: int,
-    prev_state: StepState,
-    ann: Annotations,
-    tape: Tape,
-) -> tuple[Node, StepState]:
-    return BoundModel(params, tape).decode_step(prev_word, prev_state, ann)
+# -- module-level convenience wrapper (fresh parameter binding per call) --
 
 
 def sequence_logprob(

@@ -5,6 +5,11 @@ model's per-step distributions (k attempts, duplicates removed, gold
 inserted first). Risk is the expectation of a sentence-level loss under
 the alpha-sharpened Q-distribution over that space; its gradient uses
 baseline subtraction and holds the candidate set fixed.
+
+Sampling and rescoring step the decoder through one per-source memo keyed
+by target prefix, so a state shared by several trajectories or candidates
+is computed once; sampled spaces are bit-identical to stepping the model
+afresh for every trajectory and candidate.
 """
 
 from __future__ import annotations
@@ -15,7 +20,16 @@ from typing import Sequence
 import numpy as np
 
 from .diffcore import ParamStore, Tape
-from .model import BOS, EOS, PAD, BoundModel, ModelError, _strip_trailing_pad
+from .model import (
+    BOS,
+    EOS,
+    PAD,
+    BoundModel,
+    ModelError,
+    StepState,
+    _strip_trailing_pad,
+    _validate_target,
+)
 
 __all__ = [
     "MrtError",
@@ -78,51 +92,100 @@ def _pair(item) -> tuple[Sequence[int], Sequence[int]]:
     return src, tgt
 
 
+class _PrefixMemo:
+    """Non-recording decoder steps for one source, memoised by target prefix.
+
+    ``next_logdist(prefix)`` is the log-distribution of the token after
+    ``prefix``. Each distinct prefix costs one ``step_logits`` call however
+    many trajectories or candidates share it, and the source is encoded once,
+    on the first step. The values are those of stepping the model afresh:
+    the same primitives run on the same inputs.
+    """
+
+    def __init__(self, params: ParamStore, src: Sequence[int]):
+        self.params = params
+        self.src = list(src)
+        self.bound = BoundModel(params, Tape(record=False))
+        self.ann = None
+        # prefix -> (log-distribution of the next token, state after prefix)
+        self._steps: dict[tuple[int, ...], tuple[np.ndarray, StepState]] = {}
+
+    def next_logdist(self, prefix: tuple[int, ...]) -> np.ndarray:
+        """Prefixes must be visited shortest first: the step after
+        ``prefix`` starts from the memoised state after ``prefix[:-1]``."""
+        entry = self._steps.get(prefix)
+        if entry is None:
+            bound = self.bound
+            if prefix:
+                state, prev = self._steps[prefix[:-1]][1], prefix[-1]
+            else:
+                self.ann = bound.encode(self.src)
+                state, prev = bound.initial_state(self.ann), BOS
+            logits, new_state = bound.step_logits(prev, state, self.ann)
+            entry = (bound.tape.log_softmax(logits).value, new_state)
+            self._steps[prefix] = entry
+        return entry[0]
+
+    def logprob(self, tgt: tuple[int, ...]) -> float:
+        """log P(tgt | src), reduced as ``sequence_logprob_nodes`` reduces it
+        (per-token picks stacked into one vector, then summed)."""
+        _validate_target(tgt, self.bound.tgt_vocab_size)
+        picks = [self.next_logdist(tgt[:n])[tok] for n, tok in enumerate(tgt)]
+        return float(np.array(picks).sum())
+
+
+def _memo_for(
+    params: ParamStore, src: Sequence[int], memo: _PrefixMemo | None
+) -> _PrefixMemo:
+    if memo is None:
+        return _PrefixMemo(params, src)
+    if memo.params is not params or memo.src != list(src):
+        raise MrtError("prefix memo was built for another model or source")
+    return memo
+
+
 def sample_trajectories(
     params: ParamStore,
     src: Sequence[int],
     k: int,
     max_len: int,
     rng: np.random.Generator,
+    *,
+    memo: _PrefixMemo | None = None,
 ) -> list[tuple[int, ...]]:
     """k raw sampling trajectories (pre-dedup). Each trajectory samples the
     next target word from the full model distribution and stops at EOS or
     at the length limit."""
     if k < 1 or max_len < 1:
         raise MrtError("k and the length limit must be >= 1")
-    tape = Tape(record=False)
-    bound = BoundModel(params, tape)
-    ann = bound.encode(src)
-    init = bound.initial_state(ann)
+    memo = _memo_for(params, src, memo)
     out: list[tuple[int, ...]] = []
     for _ in range(k):
-        tokens: list[int] = []
-        state = init
-        prev = BOS
+        prefix: tuple[int, ...] = ()
         for _ in range(max_len):
-            dist, state = bound.decode_step(prev, state, ann)
-            cdf = np.cumsum(dist.value)
+            cdf = np.cumsum(np.exp(memo.next_logdist(prefix)))
             tok = int(np.searchsorted(cdf, rng.random(), side="right"))
             tok = min(tok, len(cdf) - 1)
-            tokens.append(tok)
+            prefix += (tok,)
             if tok == EOS:
                 break
-            prev = tok
-        out.append(tuple(tokens))
+        out.append(prefix)
     return out
 
 
 def candidate_logprobs(
-    params: ParamStore, src: Sequence[int], candidates: Sequence[Sequence[int]]
+    params: ParamStore,
+    src: Sequence[int],
+    candidates: Sequence[Sequence[int]],
+    *,
+    memo: _PrefixMemo | None = None,
 ) -> np.ndarray:
-    """Model log-probabilities of candidates, encoder shared across them."""
-    tape = Tape(record=False)
-    bound = BoundModel(params, tape)
-    ann = bound.encode(src)
+    """Model log-probabilities of candidates, decoder steps shared across
+    candidates with a common prefix."""
+    memo = _memo_for(params, src, memo)
     out = np.empty(len(candidates))
     for i, cand in enumerate(candidates):
-        total, _ = bound.sequence_logprob_nodes(ann, cand)
-        out[i] = float(total.value)
+        out[i] = memo.logprob(tuple(cand))
     return out
 
 
@@ -133,6 +196,8 @@ def build_space(
     trajectories: Sequence[tuple[int, ...]],
     k_requested: int,
     max_len: int,
+    *,
+    memo: _PrefixMemo | None = None,
 ) -> SampledSpace:
     """Deduplicate trajectories and assemble the candidate space with the
     gold translation first."""
@@ -145,7 +210,7 @@ def build_space(
         if traj not in seen:
             seen.add(traj)
             candidates.append(traj)
-    logprobs = candidate_logprobs(params, src, candidates)
+    logprobs = candidate_logprobs(params, src, candidates, memo=memo)
     return SampledSpace(
         candidates=candidates,
         gold_index=0,
@@ -163,8 +228,11 @@ def sample_space(
     max_len: int,
     rng: np.random.Generator,
 ) -> SampledSpace:
-    trajectories = sample_trajectories(params, src, k, max_len, rng)
-    return build_space(params, src, gold, trajectories, k, max_len)
+    """Sample and score one sentence's space. Sampling and rescoring share
+    one prefix memo, so scoring a candidate reuses the sampler's steps."""
+    memo = _PrefixMemo(params, src)
+    trajectories = sample_trajectories(params, src, k, max_len, rng, memo=memo)
+    return build_space(params, src, gold, trajectories, k, max_len, memo=memo)
 
 
 def q_distribution(space: SampledSpace, alpha: float) -> QDistribution:

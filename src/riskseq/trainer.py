@@ -67,6 +67,18 @@ class TrainConfig:
             raise TrainError(f"unknown criterion: {self.criterion!r}")
         if isinstance(self.loss_kind, str):
             self.loss_kind = LossKind.parse(self.loss_kind)
+        for name in ("batch_size", "k", "workers"):
+            if getattr(self, name) < 1:
+                raise TrainError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("max_updates", "eval_every"):
+            if getattr(self, name) < 0:
+                raise TrainError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not self.alpha > 0:
+            raise TrainError(f"alpha must be positive, got {self.alpha}")
+        if self.learning_rate is not None and not self.learning_rate >= 0:
+            raise TrainError(
+                f"learning_rate must be >= 0, got {self.learning_rate}"
+            )
 
     @property
     def lr(self) -> float:

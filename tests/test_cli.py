@@ -135,6 +135,18 @@ class TestTrainDecodeEvaluate:
         assert lines[1].startswith("TER = ")
         assert lines[2].startswith("NIST = ")
 
+    def test_decode_truncated_checkpoint_is_data_error(self, trained, workdir, capsys):
+        blob = (workdir / "model.ckpt").read_bytes()
+        (workdir / "model.ckpt").write_bytes(blob[: len(blob) // 2])
+        code, _, err = run(
+            capsys, "decode", "--checkpoint", "model.ckpt",
+            "--input", "task/valid.src", "--output", "hyp.txt",
+            "--src-vocab", "task/vocab.txt", "--tgt-vocab", "task/vocab.txt",
+            "--quiet",
+        )
+        assert code == 2
+        assert err.startswith("error: truncated checkpoint")
+
     def test_evaluate_perfect_hypothesis(self, task_dir, capsys):
         code, out, _ = run(
             capsys, "evaluate", "--hyp", "task/valid.tgt",

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -228,9 +229,54 @@ class TestParamStore:
             np.testing.assert_array_equal(loaded[name], store[name])
         loaded.save(p2)
         assert p1.read_bytes() == p2.read_bytes()
+        loaded.set_flat(np.zeros(loaded.size))  # loaded tensors are writable
 
     def test_checkpoint_magic_enforced(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"NOPE")
+        with pytest.raises(DiffError):
+            ParamStore.load(path)
+
+    def _toy_checkpoint(self, tmp_path):
+        rng = np.random.default_rng(3)
+        store = make_store(
+            w=rng.normal(size=(2, 3)), b=rng.normal(size=2), s=np.asarray(1.5)
+        )
+        path = tmp_path / "toy.ckpt"
+        store.save(path)
+        return store, path.read_bytes()
+
+    def test_truncation_at_every_offset_rejected(self, tmp_path):
+        _, blob = self._toy_checkpoint(tmp_path)
+        path = tmp_path / "cut.ckpt"
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(DiffError):
+                ParamStore.load(path)
+
+    @pytest.mark.parametrize("extra", [b"\0", b"\0" * 3, b"\0" * 4, b"\1" * 17])
+    def test_trailing_bytes_rejected(self, tmp_path, extra):
+        _, blob = self._toy_checkpoint(tmp_path)
+        path = tmp_path / "long.ckpt"
+        path.write_bytes(blob + extra)
+        with pytest.raises(DiffError):
+            ParamStore.load(path)
+
+    def test_legacy_format_without_count_loads(self, tmp_path):
+        store, blob = self._toy_checkpoint(tmp_path)
+        path = tmp_path / "legacy.ckpt"
+        path.write_bytes(ParamStore.LEGACY_MAGIC + blob[8:])
+        loaded = ParamStore.load(path)
+        assert loaded.names() == store.names()
+        np.testing.assert_array_equal(loaded.flat(), store.flat())
+
+    def test_oversized_dims_rejected_without_allocating(self, tmp_path):
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(
+            ParamStore.MAGIC
+            + struct.pack("<2I", 1, 1)  # one tensor, 1-byte name
+            + b"w"
+            + struct.pack("<4I", 3, 2**32 - 1, 2**32 - 1, 2**32 - 1)
+        )
         with pytest.raises(DiffError):
             ParamStore.load(path)

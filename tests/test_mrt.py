@@ -2,15 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import noisy_params, toy_config
-from riskseq.diffcore import finite_diff_grad, relative_error
+from riskseq.diffcore import Tape, finite_diff_grad, relative_error
 from riskseq.metrics import LossKind, delta
-from riskseq.model import EOS, ModelError, init_params
+from riskseq.model import BOS, EOS, BoundModel, ModelError, init_params
 from riskseq.mrt import (
     MrtError,
     SampledSpace,
     build_space,
+    candidate_logprobs,
     expected_risk,
     mle_loss_and_grad,
     mrt_grad,
@@ -54,6 +57,109 @@ class TestSampling:
             params, SRC, 30, 5, np.random.default_rng(1)
         )
         assert all(0 <= t < cfg.tgt_vocab_size for traj in trajs for t in traj)
+
+
+def reference_trajectories(params, src, k, max_len, rng):
+    """The unmemoised sampler: every trajectory steps the decoder from BOS."""
+    tape = Tape(record=False)
+    bound = BoundModel(params, tape)
+    ann = bound.encode(src)
+    init = bound.initial_state(ann)
+    out = []
+    for _ in range(k):
+        tokens, state, prev = [], init, BOS
+        for _ in range(max_len):
+            dist, state = bound.decode_step(prev, state, ann)
+            cdf = np.cumsum(dist.value)
+            tok = int(np.searchsorted(cdf, rng.random(), side="right"))
+            tok = min(tok, len(cdf) - 1)
+            tokens.append(tok)
+            if tok == EOS:
+                break
+            prev = tok
+        out.append(tuple(tokens))
+    return out
+
+
+def reference_logprobs(params, src, candidates):
+    """The unmemoised scorer: one full decoder pass per candidate."""
+    bound = BoundModel(params, Tape(record=False))
+    ann = bound.encode(src)
+    return np.array(
+        [float(bound.sequence_logprob_nodes(ann, c)[0].value) for c in candidates]
+    )
+
+
+class TestPrefixMemo:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        model_seed=st.integers(0, 50),
+        src=st.lists(st.integers(4, 5), min_size=1, max_size=4),
+        k=st.integers(1, 12),
+        max_len=st.integers(1, 5),
+        rng_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical_to_unmemoised_model(
+        self, model_seed, src, k, max_len, rng_seed
+    ):
+        params = noisy_params(toy_config(), seed=model_seed, scale=1.5)
+        trajs = sample_trajectories(
+            params, src, k, max_len, np.random.default_rng(rng_seed)
+        )
+        assert trajs == reference_trajectories(
+            params, src, k, max_len, np.random.default_rng(rng_seed)
+        )
+        space = build_space(params, src, GOLD, trajs, k, max_len)
+        expected = reference_logprobs(params, src, space.candidates).tobytes()
+        assert space.logprobs.tobytes() == expected
+        scored = candidate_logprobs(params, src, space.candidates)
+        assert scored.tobytes() == expected
+        again = sample_space(
+            params, src, GOLD, k, max_len, np.random.default_rng(rng_seed)
+        )
+        assert again.candidates == space.candidates
+        assert again.logprobs.tobytes() == expected
+
+    def test_one_encode_and_one_step_per_distinct_prefix(
+        self, toy_model, monkeypatch
+    ):
+        _, params = toy_model
+        calls = {"encode": 0, "step": 0}
+        encode, step = BoundModel.encode, BoundModel.step_logits
+
+        def counting_encode(self, src):
+            calls["encode"] += 1
+            return encode(self, src)
+
+        def counting_step(self, prev, state, ann):
+            calls["step"] += 1
+            return step(self, prev, state, ann)
+
+        monkeypatch.setattr(BoundModel, "encode", counting_encode)
+        monkeypatch.setattr(BoundModel, "step_logits", counting_step)
+        space = sample_space(
+            params, SRC, GOLD, k=30, max_len=5, rng=np.random.default_rng(4)
+        )
+        prefixes = {c[:n] for c in space.candidates for n in range(len(c))}
+        assert len(space) > 2
+        assert calls == {"encode": 1, "step": len(prefixes)}
+
+    def test_scoring_errors_unchanged(self, toy_model):
+        _, params = toy_model
+        with pytest.raises(ModelError, match="out of range"):
+            candidate_logprobs(params, SRC, [(4, 99, EOS)])
+        with pytest.raises(ModelError, match="EOS before the end"):
+            candidate_logprobs(params, SRC, [(4, EOS, 5, EOS)])
+        with pytest.raises(ModelError, match="empty target"):
+            candidate_logprobs(params, SRC, [()])
+
+    def test_memo_of_another_source_rejected(self, toy_model):
+        from riskseq.mrt import _PrefixMemo
+
+        _, params = toy_model
+        memo = _PrefixMemo(params, [5, 4])
+        with pytest.raises(MrtError):
+            candidate_logprobs(params, SRC, [GOLD], memo=memo)
 
 
 class TestBuildSpace:
@@ -192,8 +298,6 @@ class TestMrtGrad:
         assert relative_error(direct, symbolic) <= 1e-9
 
     def test_matches_finite_differences_on_fixed_candidates(self):
-        from riskseq.mrt import candidate_logprobs
-
         cfg = toy_config()
         params = noisy_params(cfg, seed=3)
         space, losses = _space_and_losses(

@@ -51,6 +51,30 @@ class TestTrainConfig:
         assert cfg.loss_kind is LossKind.SMOOTHED_TER
 
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("batch_size", 0),
+            ("k", 0),
+            ("workers", 0),
+            ("alpha", 0.0),
+            ("alpha", -1e-3),
+            ("max_updates", -1),
+            ("eval_every", -1),
+            ("learning_rate", -0.1),
+        ],
+    )
+    def test_invalid_value_rejected_up_front(self, field, value):
+        with pytest.raises(TrainError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_zero_updates_eval_and_rate_and_no_clipping_allowed(self):
+        cfg = TrainConfig(
+            max_updates=0, eval_every=0, learning_rate=0.0, grad_clip_norm=0.0
+        )
+        assert cfg.lr == 0.0
+
+
 class TestClip:
     def test_short_gradient_untouched(self):
         g = np.array([0.3, 0.4])
