@@ -21,7 +21,8 @@ from .data import Corpus, DataError, Vocab
 from .decoder import beam_decode, greedy_decode
 from .diffcore import DiffError, ParamStore
 from .metrics import LossKind, MetricError
-from .model import EOS, ModelConfig, ModelError, init_params, load_model, save_model
+from .model import EOS, ModelConfig, ModelError, check_params, init_params
+from .model import load_model, save_model
 from .mrt import MrtError
 from .oracle import OracleError
 from .trainer import TrainConfig, TrainError
@@ -132,7 +133,7 @@ def cmd_gen_synthetic(args) -> int:
 
 
 def cmd_build_vocab(args) -> int:
-    vocab = data.build_vocab(args.input, args.max_size, lowercase=args.lowercase)
+    vocab = data.build_vocab(args.input, args.max_size)
     vocab.save(args.output)
     log.info("wrote %d tokens to %s", vocab.size, args.output)
     return 0
@@ -194,10 +195,21 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _load_vocabs(args, model_cfg: ModelConfig) -> tuple[Vocab, Vocab]:
+    """Source and target vocab, checked against the checkpoint's sizes."""
+    src_vocab, tgt_vocab = Vocab.load(args.src_vocab), Vocab.load(args.tgt_vocab)
+    sizes = (model_cfg.src_vocab_size, model_cfg.tgt_vocab_size)
+    if (src_vocab.size, tgt_vocab.size) != sizes:
+        raise DataError(
+            f"vocab sizes {src_vocab.size}/{tgt_vocab.size} (source/target) do "
+            f"not match the checkpoint's {sizes[0]}/{sizes[1]}"
+        )
+    return src_vocab, tgt_vocab
+
+
 def cmd_decode(args) -> int:
     params, model_cfg = load_model(args.checkpoint)
-    src_vocab = Vocab.load(args.src_vocab)
-    tgt_vocab = Vocab.load(args.tgt_vocab)
+    src_vocab, tgt_vocab = _load_vocabs(args, model_cfg)
     max_len = args.max_len if args.max_len is not None else model_cfg.max_len
     lines = []
     for words in data.read_token_lines(args.input):
@@ -234,8 +246,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sample(args) -> int:
     params, model_cfg = load_model(args.checkpoint)
-    src_vocab = Vocab.load(args.src_vocab)
-    tgt_vocab = Vocab.load(args.tgt_vocab)
+    src_vocab, tgt_vocab = _load_vocabs(args, model_cfg)
     kind = LossKind.parse(args.loss)
     srcs = data.read_token_lines(args.input)
     golds = data.read_token_lines(args.gold)
@@ -297,12 +308,11 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _sweep_train(args, run_cfg, overrides: dict):
-    src_vocab, tgt_vocab, model_cfg, train_corpus, valid_corpus = _load_train_inputs(
-        args, run_cfg
-    )
-    cfg = replace(_train_config(args, run_cfg), criterion="mrt", **overrides)
-    result = trainer.train(cfg, model_cfg, train_corpus, valid_corpus)
+def _sweep_train(inputs, cfg: TrainConfig, initial: ParamStore | None = None):
+    """One MRT run of a sweep, on inputs loaded once per command."""
+    _, _, model_cfg, train_corpus, valid_corpus = inputs
+    cfg = replace(cfg, criterion="mrt")
+    result = trainer.train(cfg, model_cfg, train_corpus, valid_corpus, initial)
     if result.best_bleu is None:
         raise TrainError("sweep run produced no validation score")
     return result
@@ -310,10 +320,12 @@ def _sweep_train(args, run_cfg, overrides: dict):
 
 def cmd_alpha_sweep(args) -> int:
     run_cfg = load_run_config(args.config) if args.config else {}
+    inputs = _load_train_inputs(args, run_cfg)
+    cfg = _train_config(args, run_cfg)
     print("alpha,valid_bleu")
     for alpha in args.alphas:
         try:
-            result = _sweep_train(args, run_cfg, {"alpha": alpha})
+            result = _sweep_train(inputs, replace(cfg, alpha=alpha))
             print(f"{alpha:g},{result.best_bleu:.2f}")
         except (TrainError, MrtError, DataError) as exc:
             log.error("alpha=%g failed: %s", alpha, exc)
@@ -323,13 +335,13 @@ def cmd_alpha_sweep(args) -> int:
 
 def cmd_k_sweep(args) -> int:
     run_cfg = load_run_config(args.config) if args.config else {}
-    src_vocab, tgt_vocab, model_cfg, train_corpus, valid_corpus = _load_train_inputs(
-        args, run_cfg
-    )
+    inputs = _load_train_inputs(args, run_cfg)
+    _, _, model_cfg, train_corpus, _ = inputs
     cfg = _train_config(args, run_cfg)
     if cfg.init_checkpoint is None:
         raise TrainError("k-sweep requires an initial checkpoint")
     params = ParamStore.load(cfg.init_checkpoint)
+    check_params(params, model_cfg)
     pair = train_corpus.pairs[0]
     print("k,risk_stddev,valid_bleu")
     for k in args.ks:
@@ -338,7 +350,7 @@ def cmd_k_sweep(args) -> int:
                 params, pair.src, pair.tgt, cfg.loss_kind, cfg.alpha, k,
                 model_cfg.max_len, n_seeds=args.n_seeds, base_seed=cfg.seed,
             )
-            result = _sweep_train(args, run_cfg, {"k": k})
+            result = _sweep_train(inputs, replace(cfg, k=k), params)
             print(f"{k},{std:.6f},{result.best_bleu:.2f}")
         except (TrainError, MrtError, DataError) as exc:
             log.error("k=%d failed: %s", k, exc)
@@ -352,7 +364,6 @@ def cmd_k_sweep(args) -> int:
 def _add_global_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON run config (flags override it)")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--quiet", action="store_true")
 
 
@@ -400,7 +411,6 @@ def build_parser() -> _Parser:
     _add_global_flags(p)
     p.add_argument("--input", nargs="+", required=True)
     p.add_argument("--max-size", type=int, required=True)
-    p.add_argument("--lowercase", action="store_true")
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_build_vocab)
 

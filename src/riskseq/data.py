@@ -1,30 +1,27 @@
-"""Corpus ingestion, vocabulary construction, batching, and synthetic
-desk-scale translation tasks (copy, reverse, lexicon)."""
+"""Corpus ingestion, vocabulary construction, and synthetic desk-scale
+translation tasks (copy, reverse, lexicon)."""
 
 from __future__ import annotations
 
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .model import EOS, PAD, RESERVED_TOKENS, UNK
+from .model import EOS, RESERVED_TOKENS, UNK
 
 __all__ = [
     "DataError",
     "Vocab",
     "SentencePair",
     "Corpus",
-    "Batch",
     "build_vocab",
     "load_parallel",
     "gen_synthetic",
     "synthetic_vocab",
     "apply_lexicon",
-    "make_batches",
-    "unbatch",
     "read_token_lines",
 ]
 
@@ -67,8 +64,7 @@ class Vocab:
             return cls([line.rstrip("\n") for line in fh if line.rstrip("\n")])
 
 
-@dataclass
-class SentencePair:
+class SentencePair(NamedTuple):
     src: list[int]
     tgt: list[int]  # EOS-terminated
 
@@ -84,22 +80,12 @@ class Corpus:
         return len(self.pairs)
 
 
-@dataclass
-class Batch:
-    src: np.ndarray       # (B, max src len), PAD-padded
-    tgt: np.ndarray       # (B, max tgt len), PAD-padded
-    src_lens: list[int]
-    tgt_lens: list[int]
-
-
 def read_token_lines(path: str) -> list[list[str]]:
     with open(path, "r", encoding="utf-8") as fh:
         return [line.split() for line in fh.read().splitlines()]
 
 
-def build_vocab(
-    files: Sequence[str], max_size: int, lowercase: bool = False
-) -> Vocab:
+def build_vocab(files: Sequence[str], max_size: int) -> Vocab:
     """Most frequent tokens kept (ties lexicographic), remainder map to UNK."""
     if max_size < len(RESERVED_TOKENS):
         raise DataError(
@@ -108,8 +94,6 @@ def build_vocab(
     counts: Counter = Counter()
     for path in files:
         for words in read_token_lines(path):
-            if lowercase:
-                words = [w.lower() for w in words]
             counts.update(words)
     if not counts:
         raise DataError("empty corpus")
@@ -125,7 +109,6 @@ def load_parallel(
     tgt_vocab: Vocab,
     max_len: int,
     name: str = "corpus",
-    lowercase: bool = False,
 ) -> Corpus:
     """Aligned parallel text -> Corpus. Targets get EOS appended; pairs with
     either side longer than max_len are filtered (count logged)."""
@@ -140,9 +123,6 @@ def load_parallel(
     references = []
     filtered = 0
     for src_words, tgt_words in zip(src_lines, tgt_lines):
-        if lowercase:
-            src_words = [w.lower() for w in src_words]
-            tgt_words = [w.lower() for w in tgt_words]
         if not src_words or not tgt_words:
             raise DataError("empty sentence in parallel corpus")
         if len(src_words) > max_len or len(tgt_words) + 1 > max_len:
@@ -203,9 +183,16 @@ def gen_synthetic(
         n_valid = max(20, n_sentences // 10)
     if n_test is None:
         n_test = n_valid
+    content_ids = list(range(len(RESERVED_TOKENS), vocab.size))
+    total = n_sentences + n_valid + n_test
+    n_distinct = sum(len(content_ids) ** n for n in range(lo, hi + 1))
+    if total > n_distinct:
+        raise DataError(
+            f"{total} distinct sources needed (train, valid and test) but only "
+            f"{n_distinct} exist with lengths {lo}..{hi} over this vocabulary"
+        )
 
     rng = np.random.default_rng(seed)
-    content_ids = list(range(len(RESERVED_TOKENS), vocab.size))
 
     if task == "lexicon":
         perm = rng.permutation(len(content_ids))
@@ -220,7 +207,6 @@ def gen_synthetic(
             return list(reversed(src_ids))
         return apply_lexicon(src_ids, mapping)
 
-    total = n_sentences + n_valid + n_test
     seen: set[tuple[int, ...]] = set()
     sources: list[list[int]] = []
     while len(sources) < total:
@@ -247,37 +233,3 @@ def gen_synthetic(
     )
     test = make("test", sources[n_sentences + n_valid :], N_SYNTHETIC_REFS)
     return train, valid, test
-
-
-# -- batching -------------------------------------------------------------
-
-
-def make_batches(corpus: Corpus, batch_size: int, order: Sequence[int] | None = None) -> list[Batch]:
-    if batch_size < 1:
-        raise DataError(f"batch size must be >= 1, got {batch_size}")
-    idx = list(order) if order is not None else list(range(len(corpus)))
-    batches = []
-    for start in range(0, len(idx), batch_size):
-        chunk = [corpus.pairs[i] for i in idx[start : start + batch_size]]
-        src_lens = [len(p.src) for p in chunk]
-        tgt_lens = [len(p.tgt) for p in chunk]
-        src = np.full((len(chunk), max(src_lens)), PAD, dtype=np.int64)
-        tgt = np.full((len(chunk), max(tgt_lens)), PAD, dtype=np.int64)
-        for r, p in enumerate(chunk):
-            src[r, : len(p.src)] = p.src
-            tgt[r, : len(p.tgt)] = p.tgt
-        batches.append(Batch(src=src, tgt=tgt, src_lens=src_lens, tgt_lens=tgt_lens))
-    return batches
-
-
-def unbatch(batches: Sequence[Batch]) -> list[SentencePair]:
-    pairs = []
-    for batch in batches:
-        for r in range(batch.src.shape[0]):
-            pairs.append(
-                SentencePair(
-                    src=[int(t) for t in batch.src[r, : batch.src_lens[r]]],
-                    tgt=[int(t) for t in batch.tgt[r, : batch.tgt_lens[r]]],
-                )
-            )
-    return pairs

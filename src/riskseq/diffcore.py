@@ -10,7 +10,9 @@ inputs yields identical bits.
 from __future__ import annotations
 
 import math
+import os
 import struct
+from contextlib import contextmanager, suppress
 from typing import Callable, Sequence
 
 import numpy as np
@@ -172,13 +174,6 @@ class Tape:
             return self._emit(value)
         return self._emit(value, (a,), (lambda g: g * value * (1.0 - value),))
 
-    def log(self, a: Node) -> Node:
-        value = np.log(a.value)
-        if not self.record:
-            return self._emit(value)
-        av = a.value
-        return self._emit(value, (a,), (lambda g: g / av,))
-
     def softmax(self, a: Node) -> Node:
         value = np.exp(_log_softmax(a.value))
         if not self.record:
@@ -278,14 +273,6 @@ class Tape:
         shape = a.value.shape
         return self._emit(value, (a,), (lambda g: np.full(shape, float(g)),))
 
-    def mean(self, a: Node) -> Node:
-        n = a.value.size
-        value = np.asarray(a.value.mean())
-        if not self.record:
-            return self._emit(value)
-        shape = a.value.shape
-        return self._emit(value, (a,), (lambda g: np.full(shape, float(g) / n),))
-
     # -- gradient propagation --------------------------------------------
 
     def backward(self, seed: Node) -> dict[int, np.ndarray]:
@@ -330,7 +317,8 @@ class ParamStore:
     byte-identically: magic "RSQ2", the tensor count, then per tensor its
     name, rank, dims and little-endian f64 data (u32 lengths). Loading is
     strict: a short or overlong file raises ``DiffError``. Files with the
-    older magic "RSQ1" carry no count and still load.
+    older magic "RSQ1" carry no count and still load. ``save`` goes through
+    ``atomic_writer``, so a failed save leaves the old checkpoint intact.
     """
 
     MAGIC = b"RSQ2"
@@ -392,7 +380,7 @@ class ParamStore:
     # -- checkpoint I/O ---------------------------------------------------
 
     def save(self, path: str) -> None:
-        with open(path, "wb") as fh:
+        with atomic_writer(path) as fh:
             fh.write(self.MAGIC)
             fh.write(struct.pack("<I", len(self._tensors)))
             for name, arr in self._tensors.items():
@@ -443,6 +431,24 @@ class ParamStore:
                 f"{count} tensors"
             )
         return store
+
+
+@contextmanager
+def atomic_writer(path: str):
+    """Binary file handle on a temp file beside ``path`` that replaces
+    ``path`` only once the write has finished. On an error the temp file is
+    removed and any old file at ``path`` is left as it was."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def relative_error(a: np.ndarray, b: np.ndarray) -> float:

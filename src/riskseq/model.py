@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .diffcore import Node, ParamStore, Tape
+from .diffcore import Node, ParamStore, Tape, atomic_writer
 
 __all__ = [
     "PAD",
@@ -31,6 +31,7 @@ __all__ = [
     "StepState",
     "BoundModel",
     "init_params",
+    "check_params",
     "sequence_logprob",
     "save_model",
     "load_model",
@@ -114,6 +115,20 @@ def init_params(cfg: ModelConfig, seed: int) -> ParamStore:
     return store
 
 
+def check_params(store: ParamStore, cfg: ModelConfig) -> None:
+    """Raise ModelError unless ``store`` holds exactly the tensors, by name
+    and shape, of a model built from ``cfg``."""
+    want = {name: shape for name, shape, _ in _param_shapes(cfg)}
+    got = {name: arr.shape for name, arr in store.items()}
+    bad = sorted(n for n in want.keys() | got.keys() if got.get(n) != want.get(n))
+    if bad:
+        raise ModelError(
+            "checkpoint does not fit the model config (tensor: checkpoint "
+            "shape vs config shape): "
+            + ", ".join(f"{n}: {got.get(n)} vs {want.get(n)}" for n in bad)
+        )
+
+
 @dataclass
 class Annotations:
     """Per-source-position encoder states (forward||backward concatenation),
@@ -131,7 +146,6 @@ class Annotations:
 @dataclass
 class StepState:
     z: Node                    # decoder hidden state
-    c: Node                    # attention context used at this step
     attn_weights: Node | None  # distribution over source positions
 
 
@@ -197,8 +211,7 @@ class BoundModel:
     def initial_state(self, ann: Annotations) -> StepState:
         t, p = self.tape, self.pn
         z0 = t.tanh(t.add(t.matmul(ann.bwd_first, p["dec_init_W"]), p["dec_init_b"]))
-        c0 = t.const(np.zeros(ann.matrix.value.shape[1]))
-        return StepState(z=z0, c=c0, attn_weights=None)
+        return StepState(z=z0, attn_weights=None)
 
     def _attend(self, z: Node, ann: Annotations) -> tuple[Node, Node]:
         t, p = self.tape, self.pn
@@ -222,13 +235,7 @@ class BoundModel:
             t.add(t.matmul(t.concat([emb, z_new, context]), p["read_W"]), p["read_b"])
         )
         logits = t.add(t.matmul(readout, p["out_W"]), p["out_b"])
-        return logits, StepState(z=z_new, c=context, attn_weights=weights)
-
-    def decode_step(
-        self, prev_word: int, state: StepState, ann: Annotations
-    ) -> tuple[Node, StepState]:
-        logits, new_state = self.step_logits(prev_word, state, ann)
-        return self.tape.softmax(logits), new_state
+        return logits, StepState(z=z_new, attn_weights=weights)
 
     def sequence_logprob_nodes(
         self, ann: Annotations, tgt: Sequence[int]
@@ -294,13 +301,14 @@ def sequence_logprob(
 
 def save_model(params: ParamStore, cfg: ModelConfig, path: str) -> None:
     params.save(path)
-    with open(path + ".json", "w", encoding="utf-8") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2)
-        fh.write("\n")
+    with atomic_writer(path + ".json") as fh:
+        fh.write((json.dumps(cfg.to_dict(), indent=2) + "\n").encode("utf-8"))
 
 
 def load_model(path: str) -> tuple[ParamStore, ModelConfig]:
+    """Checkpoint and sidecar config; raises ModelError if they disagree."""
     params = ParamStore.load(path)
     with open(path + ".json", "r", encoding="utf-8") as fh:
         cfg = ModelConfig.from_dict(json.load(fh))
+    check_params(params, cfg)
     return params, cfg

@@ -81,15 +81,7 @@ class QDistribution:
 class RiskReport:
     losses: np.ndarray
     expected_risk: float
-    baseline: float
     advantages: np.ndarray = field(repr=False)
-
-
-def _pair(item) -> tuple[Sequence[int], Sequence[int]]:
-    if hasattr(item, "src") and hasattr(item, "tgt"):
-        return item.src, item.tgt
-    src, tgt = item
-    return src, tgt
 
 
 class _PrefixMemo:
@@ -259,9 +251,7 @@ def expected_risk(
     # pairwise sum, not a BLAS dot: thread-count independent at any k
     risk = float(np.sum(q.weights * losses))
     advantages = losses - risk
-    return RiskReport(
-        losses=losses, expected_risk=risk, baseline=risk, advantages=advantages
-    )
+    return RiskReport(losses=losses, expected_risk=risk, advantages=advantages)
 
 
 def mrt_grad(
@@ -273,7 +263,8 @@ def mrt_grad(
     alpha: float,
 ) -> np.ndarray:
     """Gradient of the sampled expected risk with the candidate set held
-    fixed: alpha * sum_i w_i (loss_i - baseline) * grad log P(y_i | x)."""
+    fixed: alpha * sum_i w_i (loss_i - R) * grad log P(y_i | x), where the
+    baseline R is the expected risk."""
     coeffs = alpha * q.weights * report.advantages
     if not np.any(coeffs):
         return np.zeros(params.size)
@@ -314,16 +305,16 @@ def mrt_grad_via_q(
 
 
 def mle_loss_and_grad(
-    params: ParamStore, batch: Sequence
+    params: ParamStore, batch: Sequence[tuple[Sequence[int], Sequence[int]]]
 ) -> tuple[float, np.ndarray]:
-    """Negative log-likelihood of the batch and its gradient, summed over
+    """Negative log-likelihood of a batch of (source, EOS-terminated target)
+    pairs, such as ``data.SentencePair``, and its gradient, summed over
     sentences in index order."""
     if not batch:
         raise MrtError("empty batch")
     loss = 0.0
     grad = np.zeros(params.size)
-    for item in batch:
-        src, tgt = _pair(item)
+    for src, tgt in batch:
         tape = Tape()
         bound = BoundModel(params, tape)
         ann = bound.encode(src)

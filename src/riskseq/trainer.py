@@ -15,9 +15,8 @@ not be bit-identical across BLAS thread settings.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .data import Corpus
 from .decoder import DEFAULT_BEAM, decode_corpus
 from .diffcore import ParamStore
 from .metrics import LossKind
-from .model import ModelConfig, init_params
+from .model import ModelConfig, check_params, init_params
 
 __all__ = [
     "TrainError",
@@ -34,7 +33,6 @@ __all__ = [
     "CurvePoint",
     "TrainResult",
     "train",
-    "evaluate_checkpoint",
     "curve_to_csv",
 ]
 
@@ -60,16 +58,18 @@ class TrainConfig:
     seed: int = 0
     init_checkpoint: str | None = None
     allow_random_init: bool = False
-    workers: int = 1
+    workers: int = 1  # only 1 is accepted: MRT sentences run in order
 
     def __post_init__(self):
         if self.criterion not in ("mle", "mrt"):
             raise TrainError(f"unknown criterion: {self.criterion!r}")
         if isinstance(self.loss_kind, str):
             self.loss_kind = LossKind.parse(self.loss_kind)
-        for name in ("batch_size", "k", "workers"):
+        for name in ("batch_size", "k"):
             if getattr(self, name) < 1:
                 raise TrainError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.workers != 1:
+            raise TrainError(f"workers must be 1, got {self.workers}")
         for name in ("max_updates", "eval_every"):
             if getattr(self, name) < 0:
                 raise TrainError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -138,6 +138,7 @@ def train(
     if initial is None:
         if cfg.init_checkpoint is not None:
             initial = ParamStore.load(cfg.init_checkpoint)
+            check_params(initial, model_cfg)
         elif cfg.criterion == "mrt" and not cfg.allow_random_init:
             raise TrainError(
                 "minimum risk training requires an initial checkpoint "
@@ -160,70 +161,60 @@ def train(
     order: list[int] = []
     cursor = 0
 
-    pool = ThreadPoolExecutor(cfg.workers) if cfg.workers > 1 else None
-    try:
-        for update in range(1, cfg.max_updates + 1):
-            if cursor + cfg.batch_size > len(order):
-                order = list(shuffle_rng.permutation(len(train_corpus)))
-                cursor = 0
-            batch_idx = order[cursor : cursor + cfg.batch_size]
-            cursor += cfg.batch_size
-            batch = [train_corpus.pairs[i] for i in batch_idx]
+    for update in range(1, cfg.max_updates + 1):
+        if cursor + cfg.batch_size > len(order):
+            order = list(shuffle_rng.permutation(len(train_corpus)))
+            cursor = 0
+        batch_idx = order[cursor : cursor + cfg.batch_size]
+        cursor += cfg.batch_size
+        batch = [train_corpus.pairs[i] for i in batch_idx]
 
-            if cfg.criterion == "mle":
-                loss, grad = mrt.mle_loss_and_grad(params, batch)
-                objective = loss / len(batch)
-                grad = grad / len(batch)
-            else:
-                jobs = [
-                    (
-                        params,
-                        pair,
-                        train_corpus.references[idx] if train_corpus.references else (),
-                        cfg,
-                        model_cfg,
-                        update,
-                        s,
-                        info,
-                    )
-                    for s, (idx, pair) in enumerate(zip(batch_idx, batch))
-                ]
-                if pool is not None:
-                    results = list(pool.map(lambda a: _mrt_sentence_grad(*a), jobs))
-                else:
-                    results = [_mrt_sentence_grad(*a) for a in jobs]
-                # reduction in sentence-index order keeps runs deterministic
-                objective = sum(r for r, _ in results) / len(results)
-                grad = sum((g for _, g in results), np.zeros(params.size)) / len(results)
-
-            if not (np.isfinite(objective) and np.all(np.isfinite(grad))):
-                raise TrainError(
-                    f"non-finite loss or gradient at update {update}; "
-                    f"batch sentence indices: {batch_idx}"
+        if cfg.criterion == "mle":
+            loss, grad = mrt.mle_loss_and_grad(params, batch)
+            objective = loss / len(batch)
+            grad = grad / len(batch)
+        else:
+            results = [
+                _mrt_sentence_grad(
+                    params,
+                    pair,
+                    train_corpus.references[idx] if train_corpus.references else (),
+                    cfg,
+                    model_cfg,
+                    update,
+                    s,
+                    info,
                 )
-            grad = _clip(grad, cfg.grad_clip_norm)
-            params.set_flat(params.flat() - cfg.lr * grad)
+                for s, (idx, pair) in enumerate(zip(batch_idx, batch))
+            ]
+            objective = sum(r for r, _ in results) / len(results)
+            grad = sum((g for _, g in results), np.zeros(params.size)) / len(results)
 
-            if (
-                valid_corpus is not None
-                and cfg.eval_every > 0
-                and update % cfg.eval_every == 0
-            ):
-                bleu = _validation_bleu(params, valid_corpus, model_cfg.max_len)
-                curve.append(
-                    CurvePoint(
-                        update=update,
-                        seconds=time.perf_counter() - t0,
-                        valid_bleu=bleu,
-                        train_objective=float(objective),
-                    )
+        if not (np.isfinite(objective) and np.all(np.isfinite(grad))):
+            raise TrainError(
+                f"non-finite loss or gradient at update {update}; "
+                f"batch sentence indices: {batch_idx}"
+            )
+        grad = _clip(grad, cfg.grad_clip_norm)
+        params.set_flat(params.flat() - cfg.lr * grad)
+
+        if (
+            valid_corpus is not None
+            and cfg.eval_every > 0
+            and update % cfg.eval_every == 0
+        ):
+            bleu = _validation_bleu(params, valid_corpus, model_cfg.max_len)
+            curve.append(
+                CurvePoint(
+                    update=update,
+                    seconds=time.perf_counter() - t0,
+                    valid_bleu=bleu,
+                    train_objective=float(objective),
                 )
-                if best_bleu is None or bleu > best_bleu:
-                    best_bleu = bleu
-                    best_params = params.copy()
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            )
+            if best_bleu is None or bleu > best_bleu:
+                best_bleu = bleu
+                best_params = params.copy()
 
     if best_bleu is None:
         best_params = params.copy()
@@ -241,33 +232,6 @@ def _validation_bleu(params: ParamStore, corpus: Corpus, max_len: int) -> float:
         params, [p.src for p in corpus.pairs], DEFAULT_BEAM, max_len
     )
     return metrics.corpus_bleu(hyps, corpus.references)
-
-
-def evaluate_checkpoint(
-    params: ParamStore,
-    corpus: Corpus,
-    beam: int,
-    max_len: int,
-    decode_fn: Callable[[Sequence[int]], tuple[int, ...]] | None = None,
-) -> dict[str, float]:
-    """Decode every sentence and return corpus BLEU, TER and NIST."""
-    src_vocab = params["src_embed"].shape[0]
-    tgt_vocab = params["tgt_embed"].shape[0]
-    for pair in corpus.pairs:
-        if any(t >= src_vocab for t in pair.src) or any(
-            t >= tgt_vocab for t in pair.tgt
-        ):
-            raise TrainError("corpus token ids exceed checkpoint vocabulary")
-    if decode_fn is not None:
-        hyps = [tuple(decode_fn(p.src)) for p in corpus.pairs]
-    else:
-        hyps = decode_corpus(params, [p.src for p in corpus.pairs], beam, max_len)
-    info = metrics.build_info_table([refs[0] for refs in corpus.references])
-    return {
-        "BLEU": metrics.corpus_bleu(hyps, corpus.references),
-        "TER": metrics.corpus_ter(hyps, corpus.references),
-        "NIST": metrics.corpus_nist(hyps, corpus.references, info),
-    }
 
 
 def curve_to_csv(curve: Sequence[CurvePoint]) -> str:

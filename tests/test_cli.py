@@ -5,6 +5,7 @@ import pytest
 
 from riskseq.cli import main
 from riskseq.data import Vocab, read_token_lines
+from riskseq.diffcore import ParamStore
 
 
 def run(capsys, *argv):
@@ -63,6 +64,17 @@ class TestExitCodes:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate", "--hyp", "h", "--ref", "r", "--workers", "2"],
+            ["build-vocab", "--input", "t", "--max-size", "6",
+             "--output", "v", "--lowercase"],
+        ],
+    )
+    def test_removed_flags_are_usage_errors(self, capsys, argv):
+        assert run(capsys, *argv)[0] == 1
+
 
 class TestGenSynthetic:
     def test_writes_vocab_and_splits(self, task_dir):
@@ -78,6 +90,16 @@ class TestGenSynthetic:
     def test_vocab_loads(self, task_dir):
         vocab = Vocab.load(str(task_dir / "vocab.txt"))
         assert vocab.size == 8
+
+    def test_too_few_distinct_sources_is_data_error(self, workdir, capsys):
+        # 2 content tokens at lengths 2..3 give 12 sources; 20+20+20 needed
+        code, _, err = run(
+            capsys, "gen-synthetic", "--task", "copy", "--vocab-size", "6",
+            "--n-sentences", "20", "--len-min", "2", "--len-max", "3",
+            "--out-dir", "small", "--quiet",
+        )
+        assert code == 2
+        assert "distinct sources" in err
 
 
 class TestBuildVocab:
@@ -147,6 +169,24 @@ class TestTrainDecodeEvaluate:
         assert code == 2
         assert err.startswith("error: truncated checkpoint")
 
+    @pytest.mark.parametrize("command", ["decode", "sample"])
+    def test_vocab_size_mismatch_is_data_error(self, trained, workdir, capsys,
+                                               command):
+        big = Vocab(Vocab.load("task/vocab.txt").tokens
+                    + [f"x{i}" for i in range(22)])
+        big.save("big_vocab.txt")
+        io = (["--output", "hyp.txt"] if command == "decode"
+              else ["--gold", "task/valid.tgt"])
+        code, out, err = run(
+            capsys, command, "--checkpoint", "model.ckpt",
+            "--input", "task/valid.src", *io,
+            "--src-vocab", "task/vocab.txt", "--tgt-vocab", "big_vocab.txt",
+            "--quiet",
+        )
+        assert code == 2
+        assert "vocab sizes 8/30" in err
+        assert not out and not os.path.exists("hyp.txt")
+
     def test_evaluate_perfect_hypothesis(self, task_dir, capsys):
         code, out, _ = run(
             capsys, "evaluate", "--hyp", "task/valid.tgt",
@@ -194,6 +234,54 @@ class TestConfigFile:
         header = json.loads(err.splitlines()[0])
         assert header["config"]["train"]["max_updates"] == 2
         assert header["config"]["train"]["batch_size"] == 8
+
+
+    def test_workers_other_than_one_rejected(self, task_dir, workdir, capsys):
+        (workdir / "cfg.json").write_text('{"workers": 4}')
+        code, _, err = run(
+            capsys, "train", "--config", "cfg.json",
+            "--train-src", "task/train.src", "--train-tgt", "task/train.tgt",
+            "--src-vocab", "task/vocab.txt", "--tgt-vocab", "task/vocab.txt",
+            "--checkpoint-out", "m.ckpt", "--quiet",
+        )
+        assert code == 2
+        assert "workers must be 1" in err
+
+
+class TestInitCheckpointMismatch:
+    def _train_from(self, capsys, checkpoint, hidden_dim, command="train"):
+        out = (["--checkpoint-out", "out.ckpt"] if command == "train"
+               else ["--ks", "2"])
+        return run(
+            capsys, command, "--quiet",
+            "--train-src", "task/train.src", "--train-tgt", "task/train.tgt",
+            "--src-vocab", "task/vocab.txt", "--tgt-vocab", "task/vocab.txt",
+            "--embed-dim", "4", "--hidden-dim", hidden_dim,
+            "--attention-dim", "4", "--max-len", "6", "--batch-size", "4",
+            "--max-updates", "1", "--init-checkpoint", checkpoint, *out,
+        )
+
+    def test_missing_tensor_is_data_error(self, trained, workdir, capsys):
+        full = ParamStore.load("model.ckpt")
+        partial = ParamStore()
+        for name, arr in full.items():
+            if name != "dec_init_b":
+                partial.add(name, arr)
+        partial.save("partial.ckpt")
+        code, _, err = self._train_from(capsys, "partial.ckpt", "6")
+        assert code == 2
+        assert "dec_init_b" in err
+        assert not os.path.exists("out.ckpt")
+
+    @pytest.mark.parametrize("command", ["train", "k-sweep"])
+    def test_other_hidden_dim_is_data_error(self, trained, workdir, capsys,
+                                            command):
+        # the fixture trained with --hidden-dim 6
+        code, out, err = self._train_from(capsys, "model.ckpt", "4", command)
+        assert code == 2
+        assert not out
+        assert "does not fit the model config" in err
+        assert not os.path.exists("out.ckpt")
 
 
 class TestSampleAndOracle:

@@ -2,20 +2,16 @@ import numpy as np
 import pytest
 
 from riskseq.data import (
-    Corpus,
     DataError,
-    SentencePair,
     Vocab,
     apply_lexicon,
     build_vocab,
     gen_synthetic,
     load_parallel,
-    make_batches,
     read_token_lines,
     synthetic_vocab,
-    unbatch,
 )
-from riskseq.model import EOS, PAD, RESERVED_TOKENS, UNK
+from riskseq.model import EOS, RESERVED_TOKENS, UNK
 
 
 class TestVocab:
@@ -69,12 +65,6 @@ class TestBuildVocab:
         path.write_text("")
         with pytest.raises(DataError):
             build_vocab([str(path)], max_size=10)
-
-    def test_lowercase_merges_counts(self, tmp_path):
-        path = tmp_path / "text.txt"
-        path.write_text("Cat cat CAT dog\n")
-        vocab = build_vocab([str(path)], max_size=5, lowercase=True)
-        assert vocab.tokens[4:] == ["cat"]
 
 
 class TestLoadParallel:
@@ -161,40 +151,14 @@ class TestSynthetic:
         with pytest.raises(DataError):
             synthetic_vocab(4)
 
-
-class TestBatching:
-    def _corpus(self):
-        pairs = [
-            SentencePair(src=[4, 5], tgt=[5, EOS]),
-            SentencePair(src=[6], tgt=[4, 5, EOS]),
-            SentencePair(src=[4, 5, 6], tgt=[6, EOS]),
+    def test_too_few_distinct_sources_rejected(self):
+        # 2 content tokens, lengths 1..2: exactly 2 + 4 distinct sources
+        splits = gen_synthetic("copy", 6, 2, (1, 2), seed=0, n_valid=2, n_test=2)
+        assert sorted(tuple(p.src) for c in splits for p in c.pairs) == [
+            (4,), (4, 4), (4, 5), (5,), (5, 4), (5, 5)
         ]
-        return Corpus(name="t", pairs=pairs)
-
-    def test_padding_shapes(self):
-        batches = make_batches(self._corpus(), batch_size=2)
-        assert len(batches) == 2
-        first = batches[0]
-        assert first.src.shape == (2, 2)
-        assert first.tgt.shape == (2, 3)
-        assert first.src[1, 1] == PAD
-
-    def test_roundtrip_exact(self):
-        corpus = self._corpus()
-        pairs = unbatch(make_batches(corpus, batch_size=2))
-        assert [(p.src, p.tgt) for p in pairs] == [
-            (p.src, p.tgt) for p in corpus.pairs
-        ]
-        assert all(isinstance(t, int) for p in pairs for t in p.src + p.tgt)
-
-    def test_order_argument_respected(self):
-        corpus = self._corpus()
-        pairs = unbatch(make_batches(corpus, batch_size=3, order=[2, 0, 1]))
-        assert pairs[0].src == [4, 5, 6]
-
-    def test_bad_batch_size_rejected(self):
-        with pytest.raises(DataError):
-            make_batches(self._corpus(), batch_size=0)
+        with pytest.raises(DataError, match="distinct sources"):
+            gen_synthetic("copy", 6, 3, (1, 2), seed=0, n_valid=2, n_test=2)
 
 
 class TestReadTokenLines:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import noisy_params, toy_config
 from riskseq.decoder import beam_decode, decode_corpus, greedy_decode
@@ -37,6 +39,22 @@ class TestBeam:
             assert beam_decode(params, src, 1, cfg.max_len) == greedy_decode(
                 params, src, cfg.max_len
             )
+
+    @given(
+        seed=st.integers(0, 10**6),
+        tgt_vocab=st.integers(5, 10),
+        src=st.lists(st.integers(4, 7), min_size=1, max_size=5),
+        max_len=st.integers(1, 7),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_width_one_equals_greedy_on_random_models(
+        self, seed, tgt_vocab, src, max_len
+    ):
+        cfg = toy_config(tgt_vocab=tgt_vocab, src_vocab_size=8, max_len=max_len)
+        params = noisy_params(cfg, seed=seed, scale=1.5)
+        assert beam_decode(params, src, 1, max_len) == greedy_decode(
+            params, src, max_len
+        )
 
     def test_raw_beam_score_at_least_greedy(self):
         cfg, params_list = models(10)

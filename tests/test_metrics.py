@@ -19,6 +19,7 @@ from riskseq.metrics import (
 from riskseq.model import BOS, EOS, PAD
 
 words = st.lists(st.sampled_from("a b c d e".split()), min_size=1, max_size=8)
+token_ids = st.lists(st.integers(4, 12), min_size=1, max_size=10)
 
 
 class TestLossKind:
@@ -109,6 +110,13 @@ class TestSentenceTer:
         assert t >= 0.0
         if hyp == ref:
             assert t == 0.0
+
+    @given(hyp=token_ids, ref=token_ids)
+    @settings(max_examples=60, deadline=None)
+    def test_token_id_bounds_and_identity(self, hyp, ref):
+        assert 0.0 <= sentence_bleu_smoothed(hyp, ref) <= 1.0
+        assert sentence_ter(hyp, ref) >= 0.0
+        assert sentence_ter(ref, ref) == 0.0
 
     @given(hyp=words, ref=words)
     @settings(max_examples=40, deadline=None)

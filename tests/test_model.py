@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from riskseq.diffcore import Tape
+from riskseq.diffcore import ParamStore, Tape
 from riskseq.model import (
     BOS,
     EOS,
@@ -11,6 +11,7 @@ from riskseq.model import (
     BoundModel,
     ModelConfig,
     ModelError,
+    check_params,
     init_params,
     load_model,
     save_model,
@@ -111,7 +112,8 @@ class TestDecodeStep:
         _, params = tiny
         bound = BoundModel(params, Tape(record=False))
         ann = bound.encode([4, 5])
-        dist, state = bound.decode_step(BOS, bound.initial_state(ann), ann)
+        logits, _ = bound.step_logits(BOS, bound.initial_state(ann), ann)
+        dist = bound.tape.softmax(logits)
         assert dist.value.shape == (7,)
         assert math.isclose(dist.value.sum(), 1.0, abs_tol=1e-12)
         assert np.all(dist.value > 0)
@@ -120,7 +122,7 @@ class TestDecodeStep:
         _, params = tiny
         bound = BoundModel(params, Tape(record=False))
         ann = bound.encode([4, 5, 6])
-        _, state = bound.decode_step(BOS, bound.initial_state(ann), ann)
+        _, state = bound.step_logits(BOS, bound.initial_state(ann), ann)
         w = state.attn_weights.value
         assert w.shape == (3,)
         assert math.isclose(w.sum(), 1.0, abs_tol=1e-12)
@@ -129,7 +131,8 @@ class TestDecodeStep:
         cfg, params = tiny
         bound = BoundModel(params, Tape(record=False))
         ann = bound.encode([4])
-        dist, _ = bound.decode_step(BOS, bound.initial_state(ann), ann)
+        logits, _ = bound.step_logits(BOS, bound.initial_state(ann), ann)
+        dist = bound.tape.softmax(logits)
         # every entry is bit-identical: the zero output projection gives
         # constant logits, so the distribution is exactly uniform
         assert len(set(dist.value.tolist())) == 1
@@ -196,3 +199,27 @@ class TestCheckpoint:
         a, _ = sequence_logprob(params, [4, 5, 6], [5, 4, EOS])
         b, _ = sequence_logprob(loaded, [4, 5, 6], [5, 4, EOS])
         assert a == b
+
+    def test_params_must_fit_config(self, tiny):
+        cfg, params = tiny
+        check_params(params, cfg)
+        missing = ParamStore()
+        for name, arr in params.items():
+            if name != "dec_init_b":
+                missing.add(name, arr)
+        extra = params.copy()
+        extra.add("spare", np.zeros(2))
+        for store, other_cfg, name in (
+            (missing, cfg, "dec_init_b"),
+            (extra, cfg, "spare"),
+            (params, tiny_config(hidden_dim=4), "dec_init_b"),
+        ):
+            with pytest.raises(ModelError, match=name):
+                check_params(store, other_cfg)
+
+    def test_sidecar_must_fit_tensors(self, tiny, tmp_path):
+        cfg, params = tiny
+        path = str(tmp_path / "model.ckpt")
+        save_model(params, tiny_config(hidden_dim=4), path)
+        with pytest.raises(ModelError, match="does not fit"):
+            load_model(path)

@@ -16,7 +16,6 @@ from riskseq.trainer import (
     TrainConfig,
     TrainError,
     curve_to_csv,
-    evaluate_checkpoint,
     train,
 )
 from riskseq.trainer import _clip
@@ -57,6 +56,7 @@ class TestTrainConfig:
             ("batch_size", 0),
             ("k", 0),
             ("workers", 0),
+            ("workers", 4),
             ("alpha", 0.0),
             ("alpha", -1e-3),
             ("max_updates", -1),
@@ -173,17 +173,6 @@ class TestTrainMrt:
         b = train(tc, cfg, corpus, None, start).final_params.flat()
         assert a.tobytes() == b.tobytes()
 
-    def test_threaded_reduction_matches_serial(self):
-        cfg = toy_config()
-        corpus = tiny_corpus(n=6)
-        start = noisy_params(cfg, seed=2)
-        kw = dict(criterion="mrt", batch_size=3, max_updates=3,
-                  eval_every=0, k=5, seed=7)
-        serial = train(TrainConfig(workers=1, **kw), cfg, corpus, None, start)
-        threaded = train(TrainConfig(workers=3, **kw), cfg, corpus, None, start)
-        assert (serial.final_params.flat().tobytes()
-                == threaded.final_params.flat().tobytes())
-
 
 # Trains the acceptance recipe's MLE config for 60 updates, then 3 MRT
 # updates at k=20, and writes the final parameter bytes to stdout.
@@ -234,32 +223,6 @@ class TestBlasThreadInvariance:
         (one, _), (two, _) = outputs
         assert len(one) > 0
         assert one == two
-
-
-class TestEvaluateCheckpoint:
-    def test_perfect_stub_decoder_scores_perfectly(self):
-        cfg = toy_config()
-        params = init_params(cfg, seed=0)
-        corpus = tiny_corpus()
-        answers = {tuple(p.src): tuple(p.tgt[:-1]) for p in corpus.pairs}
-        scores = evaluate_checkpoint(
-            params, corpus, beam=1, max_len=cfg.max_len,
-            decode_fn=lambda src: answers[tuple(src)],
-        )
-        assert scores["BLEU"] == pytest.approx(100.0)
-        assert scores["TER"] == 0.0
-        assert scores["NIST"] > 0.0
-
-    def test_vocab_mismatch_rejected(self):
-        cfg = toy_config()  # tgt vocab 6
-        params = init_params(cfg, seed=0)
-        big = Corpus(
-            name="big",
-            pairs=[SentencePair(src=[4, 17], tgt=[4, EOS])],
-            references=[[(4,)]],
-        )
-        with pytest.raises(TrainError):
-            evaluate_checkpoint(params, big, beam=1, max_len=6)
 
 
 class TestCurveCsv:
