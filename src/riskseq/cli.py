@@ -155,25 +155,13 @@ def _load_train_inputs(args, run_cfg: dict):
         valid_corpus = data.load_parallel(
             args.valid_src, args.valid_tgt, src_vocab, tgt_vocab,
             model_cfg.max_len, name="valid",
+            ref_files=_find_references(args.valid_ref) if args.valid_ref else (),
         )
-        ref_base = args.valid_ref or args.valid_tgt
-        ref_files = _find_references(ref_base)
-        if len(ref_files) > 1:
-            ref_lines = [data.read_token_lines(p) for p in ref_files]
-            refs = []
-            for i in range(len(valid_corpus)):
-                refs.append(
-                    [tuple(tgt_vocab.encode(lines[i])) for lines in ref_lines]
-                )
-            valid_corpus.references = refs
     return src_vocab, tgt_vocab, model_cfg, train_corpus, valid_corpus
 
 
 def _train_config(args, run_cfg: dict) -> TrainConfig:
-    kwargs = _merged(run_cfg, args, TRAIN_KEYS)
-    if "loss_kind" in kwargs and isinstance(kwargs["loss_kind"], str):
-        kwargs["loss_kind"] = LossKind.parse(kwargs["loss_kind"])
-    return TrainConfig(**kwargs)
+    return TrainConfig(**_merged(run_cfg, args, TRAIN_KEYS))
 
 
 def cmd_train(args) -> int:
@@ -214,10 +202,13 @@ def cmd_decode(args) -> int:
     lines = []
     for words in data.read_token_lines(args.input):
         src = src_vocab.encode(words)
-        if args.beam == 1:
-            out = greedy_decode(params, src, max_len)
-        else:
-            out = beam_decode(params, src, args.beam, max_len)
+        try:
+            if args.beam == 1:
+                out = greedy_decode(params, src, max_len)
+            else:
+                out = beam_decode(params, src, args.beam, max_len)
+        except ValueError as exc:  # a beam width or length limit below 1
+            raise DataError(str(exc)) from None
         lines.append(" ".join(tgt_vocab.decode([t for t in out if t != EOS])))
     _write_lines(args.output, lines)
     return 0
@@ -308,20 +299,31 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+def _check_sweep_scores(inputs, cfg: TrainConfig) -> None:
+    """A sweep row is its best validation BLEU: refuse, before any
+    training, the settings under which no validation pass runs."""
+    _, _, _, _, valid_corpus = inputs
+    if valid_corpus is None:
+        raise DataError("a sweep needs --valid-src and --valid-tgt")
+    if not 0 < cfg.eval_every <= cfg.max_updates:
+        raise DataError(
+            f"a sweep needs 0 < eval_every <= max_updates, got eval_every "
+            f"{cfg.eval_every} and max_updates {cfg.max_updates}"
+        )
+
+
 def _sweep_train(inputs, cfg: TrainConfig, initial: ParamStore | None = None):
     """One MRT run of a sweep, on inputs loaded once per command."""
     _, _, model_cfg, train_corpus, valid_corpus = inputs
     cfg = replace(cfg, criterion="mrt")
-    result = trainer.train(cfg, model_cfg, train_corpus, valid_corpus, initial)
-    if result.best_bleu is None:
-        raise TrainError("sweep run produced no validation score")
-    return result
+    return trainer.train(cfg, model_cfg, train_corpus, valid_corpus, initial)
 
 
 def cmd_alpha_sweep(args) -> int:
     run_cfg = load_run_config(args.config) if args.config else {}
     inputs = _load_train_inputs(args, run_cfg)
     cfg = _train_config(args, run_cfg)
+    _check_sweep_scores(inputs, cfg)
     print("alpha,valid_bleu")
     for alpha in args.alphas:
         try:
@@ -342,6 +344,7 @@ def cmd_k_sweep(args) -> int:
         raise TrainError("k-sweep requires an initial checkpoint")
     params = ParamStore.load(cfg.init_checkpoint)
     check_params(params, model_cfg)
+    _check_sweep_scores(inputs, cfg)
     pair = train_corpus.pairs[0]
     print("k,risk_stddev,valid_bleu")
     for k in args.ks:

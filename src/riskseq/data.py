@@ -109,9 +109,12 @@ def load_parallel(
     tgt_vocab: Vocab,
     max_len: int,
     name: str = "corpus",
+    ref_files: Sequence[str] = (),
 ) -> Corpus:
     """Aligned parallel text -> Corpus. Targets get EOS appended; pairs with
-    either side longer than max_len are filtered (count logged)."""
+    either side longer than max_len are filtered (count logged). Each kept
+    pair's references are its target, or its lines of ``ref_files``, which
+    must be aligned with the source line by line."""
     src_lines = read_token_lines(src_file)
     tgt_lines = read_token_lines(tgt_file)
     if len(src_lines) != len(tgt_lines):
@@ -119,10 +122,17 @@ def load_parallel(
             f"line-count mismatch: {len(src_lines)} source lines "
             f"vs {len(tgt_lines)} target lines"
         )
+    ref_lines = [read_token_lines(path) for path in ref_files]
+    for path, lines in zip(ref_files, ref_lines):
+        if len(lines) != len(src_lines):
+            raise DataError(
+                f"{path}: {len(lines)} reference lines vs "
+                f"{len(src_lines)} source lines"
+            )
     pairs = []
     references = []
     filtered = 0
-    for src_words, tgt_words in zip(src_lines, tgt_lines):
+    for i, (src_words, tgt_words) in enumerate(zip(src_lines, tgt_lines)):
         if not src_words or not tgt_words:
             raise DataError("empty sentence in parallel corpus")
         if len(src_words) > max_len or len(tgt_words) + 1 > max_len:
@@ -131,7 +141,10 @@ def load_parallel(
         src_ids = src_vocab.encode(src_words)
         tgt_ids = tgt_vocab.encode(tgt_words)
         pairs.append(SentencePair(src=src_ids, tgt=tgt_ids + [EOS]))
-        references.append([tuple(tgt_ids)])
+        if ref_lines:
+            references.append([tuple(tgt_vocab.encode(r[i])) for r in ref_lines])
+        else:
+            references.append([tuple(tgt_ids)])
     if filtered:
         log.info("%s: filtered %d over-length pairs (max_len=%d)", name, filtered, max_len)
     corpus = Corpus(name=name, pairs=pairs, references=references)

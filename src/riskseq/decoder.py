@@ -4,7 +4,8 @@ Beam search keeps the top-width expansions by accumulated log-prob;
 finished hypotheses retire into a completed pool and the final answer is
 the completed hypothesis with the best length-normalized score (ties go
 to the lexicographically smallest token sequence). PAD and BOS are never
-proposed as output tokens.
+proposed as output tokens. Both searches step the decoder through one
+``model.PrefixMemo`` per sentence.
 """
 
 from __future__ import annotations
@@ -13,40 +14,35 @@ from typing import Sequence
 
 import numpy as np
 
-from .diffcore import ParamStore, Tape
-from .model import BOS, EOS, PAD, BoundModel
+from .diffcore import ParamStore
+from .model import BOS, EOS, PAD, PrefixMemo
 
 __all__ = ["greedy_decode", "beam_decode", "decode_corpus", "DEFAULT_BEAM"]
 
 DEFAULT_BEAM = 10
 
 
-def _masked_logdist(tape, bound, prev, state, ann):
-    logits, new_state = bound.step_logits(prev, state, ann)
-    logdist = tape.log_softmax(logits).value.copy()
+def _masked_logdist(memo: PrefixMemo, tokens: tuple[int, ...]) -> np.ndarray:
+    logdist = memo.next_logdist(tokens).copy()
     logdist[PAD] = -np.inf
     logdist[BOS] = -np.inf
-    return logdist, new_state
+    return logdist
 
 
 def greedy_decode(
     params: ParamStore, src: Sequence[int], max_len: int
 ) -> tuple[int, ...]:
     """Argmax token per step until EOS or the length limit."""
-    tape = Tape(record=False)
-    bound = BoundModel(params, tape)
-    ann = bound.encode(src)
-    state = bound.initial_state(ann)
-    prev = BOS
-    tokens: list[int] = []
+    if max_len < 1:
+        raise ValueError(f"length limit must be >= 1, got {max_len}")
+    memo = PrefixMemo(params, src)
+    tokens: tuple[int, ...] = ()
     for _ in range(max_len):
-        logdist, state = _masked_logdist(tape, bound, prev, state, ann)
-        tok = int(np.argmax(logdist))
-        tokens.append(tok)
+        tok = int(np.argmax(_masked_logdist(memo, tokens)))
+        tokens += (tok,)
         if tok == EOS:
             break
-        prev = tok
-    return tuple(tokens)
+    return tokens
 
 
 def beam_decode(
@@ -58,12 +54,12 @@ def beam_decode(
 ) -> tuple[int, ...]:
     if width < 1:
         raise ValueError(f"beam width must be >= 1, got {width}")
-    tape = Tape(record=False)
-    bound = BoundModel(params, tape)
-    ann = bound.encode(src)
+    if max_len < 1:
+        raise ValueError(f"length limit must be >= 1, got {max_len}")
+    memo = PrefixMemo(params, src)
 
-    # live hypothesis: (tokens, logprob, prev token, state)
-    live = [((), 0.0, BOS, bound.initial_state(ann))]
+    # a hypothesis is (tokens, logprob); the memo holds its decoder state
+    live: list[tuple[tuple[int, ...], float]] = [((), 0.0)]
     completed: list[tuple[tuple[int, ...], float]] = []
 
     def norm_score(tokens, lp):
@@ -73,22 +69,19 @@ def beam_decode(
         if not live:
             break
         expansions = []
-        for tokens, lp, prev, state in live:
-            logdist, new_state = _masked_logdist(tape, bound, prev, state, ann)
+        for tokens, lp in live:
+            logdist = _masked_logdist(memo, tokens)
             for tok in range(len(logdist)):
                 if logdist[tok] == -np.inf:
                     continue
-                expansions.append(
-                    (tokens + (tok,), lp + float(logdist[tok]), tok, new_state)
-                )
+                expansions.append((tokens + (tok,), lp + float(logdist[tok])))
         expansions.sort(key=lambda h: (-h[1], h[0]))
-        selected = expansions[:width]
         live = []
-        for tokens, lp, tok, state in selected:
-            if tok == EOS:
+        for tokens, lp in expansions[:width]:
+            if tokens[-1] == EOS:
                 completed.append((tokens, lp))
             else:
-                live.append((tokens, lp, tok, state))
+                live.append((tokens, lp))
         if completed and live:
             best_done = max(norm_score(t, lp) for t, lp in completed)
             # Future steps only lower the raw score; bound the best
@@ -98,10 +91,10 @@ def beam_decode(
                     return lp
                 return lp / max_len if lp < 0 else lp / (len(tokens) + 1)
 
-            if all(bound_score(t, lp) < best_done for t, lp, _, _ in live):
+            if all(bound_score(t, lp) < best_done for t, lp in live):
                 break
 
-    pool = completed if completed else [(t, lp) for t, lp, _, _ in live]
+    pool = completed or live
     best = min(pool, key=lambda h: (-norm_score(h[0], h[1]), h[0]))
     return best[0]
 

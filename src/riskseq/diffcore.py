@@ -257,15 +257,6 @@ class Tape:
         )
         return self._emit(value, tuple(rows), vjps)
 
-    def stack_scalars(self, scalars: Sequence[Node]) -> Node:
-        value = np.array([float(s.value) for s in scalars])
-        if not self.record:
-            return self._emit(value)
-        vjps = tuple(
-            (lambda i: lambda g: np.asarray(g[i]))(i) for i in range(len(scalars))
-        )
-        return self._emit(value, tuple(scalars), vjps)
-
     def sum(self, a: Node) -> Node:
         value = np.asarray(a.value.sum())
         if not self.record:

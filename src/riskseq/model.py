@@ -30,6 +30,7 @@ __all__ = [
     "Annotations",
     "StepState",
     "BoundModel",
+    "PrefixMemo",
     "init_params",
     "check_params",
     "sequence_logprob",
@@ -237,10 +238,8 @@ class BoundModel:
         logits = t.add(t.matmul(readout, p["out_W"]), p["out_b"])
         return logits, StepState(z=z_new, attn_weights=weights)
 
-    def sequence_logprob_nodes(
-        self, ann: Annotations, tgt: Sequence[int]
-    ) -> tuple[Node, list[Node]]:
-        """Log P(tgt | src) as tape nodes. The sequence is scored verbatim:
+    def sequence_logprob_nodes(self, ann: Annotations, tgt: Sequence[int]) -> Node:
+        """Log P(tgt | src) as a tape node. The sequence is scored verbatim:
         sampled candidates may contain any vocabulary id (the sampler draws
         from the full distribution) and may lack a terminal EOS when they
         were truncated at the length limit. EOS may only appear last."""
@@ -250,14 +249,57 @@ class BoundModel:
         per_word: list[Node] = []
         state = self.initial_state(ann)
         prev = BOS
-        for n, tok in enumerate(tgt):
-            logits, new_state = self.step_logits(prev, state, ann)
-            logdist = t.log_softmax(logits)
-            per_word.append(t.pick(logdist, tok))
-            state = new_state
+        for tok in tgt:
+            logits, state = self.step_logits(prev, state, ann)
+            per_word.append(t.pick(t.log_softmax(logits), tok))
             prev = tok
-        total = t.sum(t.stack_scalars(per_word))
-        return total, per_word
+        return t.sum(t.stack_rows(per_word))
+
+
+class PrefixMemo:
+    """Non-recording decoder steps for one source, memoised by target prefix.
+
+    ``next_logdist(prefix)`` is the log-distribution of the token after
+    ``prefix``. The source is encoded once, and each distinct prefix costs
+    one ``step_logits`` call however many callers share it. The values are
+    those of stepping the model afresh: the same primitives run on the same
+    inputs. Sampling, rescoring, scoring and decoding step the decoder
+    through a memo; training steps it on a recording tape, and the oracle's
+    enumeration keeps its own walk as an independent reference.
+    """
+
+    def __init__(self, params: ParamStore, src: Sequence[int]):
+        self.params = params
+        self.src = list(src)
+        self.bound = BoundModel(params, Tape(record=False))
+        self.ann = self.bound.encode(self.src)
+        # prefix -> (log-distribution of the next token, state after prefix)
+        self._steps: dict[tuple[int, ...], tuple[np.ndarray, StepState]] = {}
+
+    def next_logdist(self, prefix: tuple[int, ...]) -> np.ndarray:
+        """Prefixes must be visited shortest first: the step after
+        ``prefix`` starts from the memoised state after ``prefix[:-1]``.
+        The returned array is shared; copy it before changing it."""
+        entry = self._steps.get(prefix)
+        if entry is None:
+            bound = self.bound
+            if prefix:
+                state, prev = self._steps[prefix[:-1]][1], prefix[-1]
+            else:
+                state, prev = bound.initial_state(self.ann), BOS
+            logits, new_state = bound.step_logits(prev, state, self.ann)
+            entry = (bound.tape.log_softmax(logits).value, new_state)
+            self._steps[prefix] = entry
+        return entry[0]
+
+    def logprob(self, tgt: Sequence[int]) -> tuple[float, list[float]]:
+        """Total and per-token log P(tgt | src), scored verbatim as
+        ``sequence_logprob_nodes`` scores it; the total is reduced as that
+        reduces it (the picks in one vector, then summed)."""
+        tgt = tuple(tgt)
+        _validate_target(tgt, self.bound.tgt_vocab_size)
+        picks = [self.next_logdist(tgt[:n])[tok] for n, tok in enumerate(tgt)]
+        return float(np.array(picks).sum()), [float(p) for p in picks]
 
 
 def _strip_trailing_pad(tgt: Sequence[int]) -> list[int]:
@@ -277,23 +319,23 @@ def _validate_target(tgt: Sequence[int], vocab_size: int) -> None:
         raise ModelError("EOS before the end of the target sequence")
 
 
-# -- module-level convenience wrapper (fresh parameter binding per call) --
+def _checked_target(tgt: Sequence[int]) -> list[int]:
+    """A reference target without its trailing PAD; it must end with EOS
+    and hold no PAD."""
+    tgt = _strip_trailing_pad(tgt)
+    if not tgt or tgt[-1] != EOS:
+        raise ModelError("target must end with EOS")
+    if PAD in tgt:
+        raise ModelError("PAD inside target sentence")
+    return tgt
 
 
 def sequence_logprob(
     params: ParamStore, src: Sequence[int], tgt: Sequence[int]
 ) -> tuple[float, list[float]]:
     """Total and per-word log-probability of an EOS-terminated target."""
-    tgt = _strip_trailing_pad(tgt)
-    if not tgt or tgt[-1] != EOS:
-        raise ModelError("target must end with EOS")
-    if PAD in tgt:
-        raise ModelError("PAD inside target sentence")
-    tape = Tape(record=False)
-    bound = BoundModel(params, tape)
-    ann = bound.encode(src)
-    total, per_word = bound.sequence_logprob_nodes(ann, tgt)
-    return float(total.value), [float(n.value) for n in per_word]
+    tgt = _checked_target(tgt)
+    return PrefixMemo(params, src).logprob(tgt)
 
 
 # -- checkpoint + sidecar -------------------------------------------------

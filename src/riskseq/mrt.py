@@ -6,8 +6,8 @@ inserted first). Risk is the expectation of a sentence-level loss under
 the alpha-sharpened Q-distribution over that space; its gradient uses
 baseline subtraction and holds the candidate set fixed.
 
-Sampling and rescoring step the decoder through one per-source memo keyed
-by target prefix, so a state shared by several trajectories or candidates
+Sampling and rescoring step the decoder through one per-source
+``model.PrefixMemo``, so a state shared by several trajectories or candidates
 is computed once; sampled spaces are bit-identical to stepping the model
 afresh for every trajectory and candidate.
 """
@@ -20,16 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .diffcore import ParamStore, Tape
-from .model import (
-    BOS,
-    EOS,
-    PAD,
-    BoundModel,
-    ModelError,
-    StepState,
-    _strip_trailing_pad,
-    _validate_target,
-)
+from .model import EOS, BoundModel, PrefixMemo, _checked_target
 
 __all__ = [
     "MrtError",
@@ -73,64 +64,19 @@ class SampledSpace:
 @dataclass
 class QDistribution:
     weights: np.ndarray
-    alpha: float
-    logprobs: np.ndarray
 
 
 @dataclass
 class RiskReport:
-    losses: np.ndarray
     expected_risk: float
     advantages: np.ndarray = field(repr=False)
 
 
-class _PrefixMemo:
-    """Non-recording decoder steps for one source, memoised by target prefix.
-
-    ``next_logdist(prefix)`` is the log-distribution of the token after
-    ``prefix``. Each distinct prefix costs one ``step_logits`` call however
-    many trajectories or candidates share it, and the source is encoded once,
-    on the first step. The values are those of stepping the model afresh:
-    the same primitives run on the same inputs.
-    """
-
-    def __init__(self, params: ParamStore, src: Sequence[int]):
-        self.params = params
-        self.src = list(src)
-        self.bound = BoundModel(params, Tape(record=False))
-        self.ann = None
-        # prefix -> (log-distribution of the next token, state after prefix)
-        self._steps: dict[tuple[int, ...], tuple[np.ndarray, StepState]] = {}
-
-    def next_logdist(self, prefix: tuple[int, ...]) -> np.ndarray:
-        """Prefixes must be visited shortest first: the step after
-        ``prefix`` starts from the memoised state after ``prefix[:-1]``."""
-        entry = self._steps.get(prefix)
-        if entry is None:
-            bound = self.bound
-            if prefix:
-                state, prev = self._steps[prefix[:-1]][1], prefix[-1]
-            else:
-                self.ann = bound.encode(self.src)
-                state, prev = bound.initial_state(self.ann), BOS
-            logits, new_state = bound.step_logits(prev, state, self.ann)
-            entry = (bound.tape.log_softmax(logits).value, new_state)
-            self._steps[prefix] = entry
-        return entry[0]
-
-    def logprob(self, tgt: tuple[int, ...]) -> float:
-        """log P(tgt | src), reduced as ``sequence_logprob_nodes`` reduces it
-        (per-token picks stacked into one vector, then summed)."""
-        _validate_target(tgt, self.bound.tgt_vocab_size)
-        picks = [self.next_logdist(tgt[:n])[tok] for n, tok in enumerate(tgt)]
-        return float(np.array(picks).sum())
-
-
 def _memo_for(
-    params: ParamStore, src: Sequence[int], memo: _PrefixMemo | None
-) -> _PrefixMemo:
+    params: ParamStore, src: Sequence[int], memo: PrefixMemo | None
+) -> PrefixMemo:
     if memo is None:
-        return _PrefixMemo(params, src)
+        return PrefixMemo(params, src)
     if memo.params is not params or memo.src != list(src):
         raise MrtError("prefix memo was built for another model or source")
     return memo
@@ -143,7 +89,7 @@ def sample_trajectories(
     max_len: int,
     rng: np.random.Generator,
     *,
-    memo: _PrefixMemo | None = None,
+    memo: PrefixMemo | None = None,
 ) -> list[tuple[int, ...]]:
     """k raw sampling trajectories (pre-dedup). Each trajectory samples the
     next target word from the full model distribution and stops at EOS or
@@ -170,14 +116,14 @@ def candidate_logprobs(
     src: Sequence[int],
     candidates: Sequence[Sequence[int]],
     *,
-    memo: _PrefixMemo | None = None,
+    memo: PrefixMemo | None = None,
 ) -> np.ndarray:
     """Model log-probabilities of candidates, decoder steps shared across
     candidates with a common prefix."""
     memo = _memo_for(params, src, memo)
     out = np.empty(len(candidates))
     for i, cand in enumerate(candidates):
-        out[i] = memo.logprob(tuple(cand))
+        out[i] = memo.logprob(cand)[0]
     return out
 
 
@@ -189,7 +135,7 @@ def build_space(
     k_requested: int,
     max_len: int,
     *,
-    memo: _PrefixMemo | None = None,
+    memo: PrefixMemo | None = None,
 ) -> SampledSpace:
     """Deduplicate trajectories and assemble the candidate space with the
     gold translation first."""
@@ -222,7 +168,7 @@ def sample_space(
 ) -> SampledSpace:
     """Sample and score one sentence's space. Sampling and rescoring share
     one prefix memo, so scoring a candidate reuses the sampler's steps."""
-    memo = _PrefixMemo(params, src)
+    memo = PrefixMemo(params, src)
     trajectories = sample_trajectories(params, src, k, max_len, rng, memo=memo)
     return build_space(params, src, gold, trajectories, k, max_len, memo=memo)
 
@@ -237,7 +183,7 @@ def q_distribution(space: SampledSpace, alpha: float) -> QDistribution:
     scaled = alpha * logprobs
     scaled = scaled - scaled.max()
     weights = np.exp(scaled - np.log(np.exp(scaled).sum()))
-    return QDistribution(weights=weights, alpha=alpha, logprobs=logprobs)
+    return QDistribution(weights=weights)
 
 
 def expected_risk(
@@ -251,7 +197,7 @@ def expected_risk(
     # pairwise sum, not a BLAS dot: thread-count independent at any k
     risk = float(np.sum(q.weights * losses))
     advantages = losses - risk
-    return RiskReport(losses=losses, expected_risk=risk, advantages=advantages)
+    return RiskReport(expected_risk=risk, advantages=advantages)
 
 
 def mrt_grad(
@@ -275,9 +221,9 @@ def mrt_grad(
     for i, cand in enumerate(space.candidates):
         if coeffs[i] == 0.0:
             continue
-        total, _ = bound.sequence_logprob_nodes(ann, cand)
+        total = bound.sequence_logprob_nodes(ann, cand)
         terms.append(tape.scale(total, coeffs[i]))
-    seed = tape.sum(tape.stack_scalars(terms))
+    seed = tape.sum(tape.stack_rows(terms))
     return tape.gradient(seed, params, bound.pn)
 
 
@@ -295,10 +241,8 @@ def mrt_grad_via_q(
     tape = Tape()
     bound = BoundModel(params, tape)
     ann = bound.encode(src)
-    totals = [
-        bound.sequence_logprob_nodes(ann, cand)[0] for cand in space.candidates
-    ]
-    scaled = tape.scale(tape.stack_scalars(totals), alpha)
+    totals = [bound.sequence_logprob_nodes(ann, cand) for cand in space.candidates]
+    scaled = tape.scale(tape.stack_rows(totals), alpha)
     weights = tape.softmax(scaled)
     risk = tape.matmul(weights, tape.const(losses))
     return tape.gradient(risk, params, bound.pn)
@@ -318,12 +262,7 @@ def mle_loss_and_grad(
         tape = Tape()
         bound = BoundModel(params, tape)
         ann = bound.encode(src)
-        stripped = _strip_trailing_pad(tgt)
-        if not stripped or stripped[-1] != EOS:
-            raise ModelError("target must end with EOS")
-        if PAD in stripped:
-            raise ModelError("PAD inside target sentence")
-        total, _ = bound.sequence_logprob_nodes(ann, stripped)
+        total = bound.sequence_logprob_nodes(ann, _checked_target(tgt))
         nll = tape.scale(total, -1.0)
         loss += float(nll.value)
         grad += tape.gradient(nll, params, bound.pn)

@@ -1,7 +1,10 @@
-"""Every exported name resolves, so a deletion cannot leave a stale export."""
+"""Every exported name resolves, so a deletion cannot leave a stale export,
+and every function the benchmark traces still exists under its name."""
 
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -19,3 +22,34 @@ def test_every_name_in_all_resolves(module_name):
     missing = [name for name in exported if not hasattr(module, name)]
     assert not missing, f"{module_name}.__all__ names missing attributes: {missing}"
     assert len(set(exported)) == len(exported), f"duplicates in {module_name}.__all__"
+
+
+SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "span, module_name, path",
+    [target[:3] for target in _load_spans().TARGETS],
+)
+def test_every_benchmark_span_target_resolves(span, module_name, path):
+    """The benchmark silently skips a traced function that moved or was
+    renamed, so check here that each one still exists."""
+    obj = importlib.import_module(module_name)
+    for attr in path.split("."):
+        assert hasattr(obj, attr), f"{span}: {module_name}.{path} is gone"
+        obj = getattr(obj, attr)
+    assert callable(obj), f"{span}: {module_name}.{path} is not callable"
+
+
+def test_cli_decodes_with_the_decoder_beam_search():
+    import riskseq.cli
+    import riskseq.decoder
+
+    assert riskseq.cli.beam_decode is riskseq.decoder.beam_decode

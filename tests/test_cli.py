@@ -3,7 +3,8 @@ import os
 
 import pytest
 
-from riskseq.cli import main
+from riskseq import trainer
+from riskseq.cli import _load_train_inputs, build_parser, main
 from riskseq.data import Vocab, read_token_lines
 from riskseq.diffcore import ParamStore
 
@@ -187,6 +188,21 @@ class TestTrainDecodeEvaluate:
         assert "vocab sizes 8/30" in err
         assert not out and not os.path.exists("hyp.txt")
 
+    @pytest.mark.parametrize(
+        "limits", [["--beam", "0"], ["--beam", "2", "--max-len", "0"],
+                   ["--beam", "1", "--max-len", "0"]],
+    )
+    def test_beam_or_length_below_one_is_data_error(self, trained, workdir,
+                                                    capsys, limits):
+        code, _, err = run(
+            capsys, "decode", "--checkpoint", "model.ckpt",
+            "--input", "task/valid.src", "--output", "hyp.txt", *limits,
+            "--src-vocab", "task/vocab.txt", "--tgt-vocab", "task/vocab.txt",
+            "--quiet",
+        )
+        assert code == 2
+        assert err.startswith("error: ") and "must be >= 1" in err
+
     def test_evaluate_perfect_hypothesis(self, task_dir, capsys):
         code, out, _ = run(
             capsys, "evaluate", "--hyp", "task/valid.tgt",
@@ -315,6 +331,58 @@ class TestSampleAndOracle:
         assert float(grad_line[0].split(",")[2]) <= 1e-4
 
 
+class TestValidationReferences:
+    """--max-len 5 drops some validation pairs; the references of the kept
+    pairs must still be their own."""
+
+    @pytest.fixture
+    def lex_dir(self, workdir, capsys):
+        code, _, _ = run(
+            capsys, "gen-synthetic", "--task", "lexicon", "--vocab-size", "12",
+            "--n-sentences", "60", "--len-min", "2", "--len-max", "6",
+            "--out-dir", "d", "--quiet",
+        )
+        assert code == 0
+        return workdir / "d"
+
+    def _train_argv(self, valid_ref):
+        return [
+            "train", "--quiet",
+            "--train-src", "d/train.src", "--train-tgt", "d/train.tgt",
+            "--valid-src", "d/valid.src", "--valid-tgt", "d/valid.tgt",
+            "--valid-ref", valid_ref,
+            "--src-vocab", "d/vocab.txt", "--tgt-vocab", "d/vocab.txt",
+            "--embed-dim", "4", "--hidden-dim", "6", "--attention-dim", "4",
+            "--max-len", "5", "--max-updates", "0", "--checkpoint-out", "m.ckpt",
+        ]
+
+    def _valid_corpus(self, valid_ref):
+        args = build_parser().parse_args(self._train_argv(valid_ref))
+        return _load_train_inputs(args, {})[4]
+
+    def test_multi_file_references_follow_kept_pairs(self, lex_dir):
+        valid = self._valid_corpus("d/valid.ref")
+        assert valid.filtered_count > 0 and len(valid) > 0
+        for pair, refs in zip(valid.pairs, valid.references):
+            assert refs == [tuple(pair.tgt[:-1])] * 4
+
+    def test_single_reference_file_is_used(self, lex_dir):
+        lines = (lex_dir / "valid.tgt").read_text().splitlines()
+        (lex_dir / "rev.ref").write_text(
+            "".join(" ".join(reversed(l.split())) + "\n" for l in lines))
+        valid = self._valid_corpus("d/rev.ref")
+        assert valid.filtered_count > 0
+        for pair, refs in zip(valid.pairs, valid.references):
+            assert refs == [tuple(reversed(pair.tgt[:-1]))]
+
+    def test_short_reference_file_is_data_error(self, lex_dir, capsys):
+        lines = (lex_dir / "valid.ref.0").read_text().splitlines()
+        (lex_dir / "short.ref").write_text("\n".join(lines[:-1]) + "\n")
+        code, _, err = run(capsys, *self._train_argv("d/short.ref"))
+        assert code == 2
+        assert "reference lines" in err
+
+
 class TestSweeps:
     def test_alpha_sweep_rows_in_input_order(self, trained, capsys):
         code, out, _ = run(
@@ -345,6 +413,39 @@ class TestSweeps:
             "--ks", "2",
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "command, eval_every, with_valid",
+        [
+            ("alpha-sweep", "2", False),
+            ("alpha-sweep", "0", True),
+            ("alpha-sweep", "3", True),
+            ("k-sweep", "2", False),
+            ("k-sweep", "3", True),
+        ],
+    )
+    def test_sweep_without_a_score_fails_before_training(
+        self, trained, capsys, monkeypatch, command, eval_every, with_valid
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a sweep that cannot score trained a row")
+
+        monkeypatch.setattr(trainer, "train", no_training)
+        rows = ["--alphas", "1.0"] if command == "alpha-sweep" else ["--ks", "2"]
+        valid = (["--valid-src", "task/valid.src", "--valid-tgt", "task/valid.tgt"]
+                 if with_valid else [])
+        code, out, err = run(
+            capsys, command, "--quiet",
+            "--train-src", "task/train.src", "--train-tgt", "task/train.tgt",
+            *valid,
+            "--src-vocab", "task/vocab.txt", "--tgt-vocab", "task/vocab.txt",
+            "--embed-dim", "4", "--hidden-dim", "6", "--attention-dim", "4",
+            "--max-len", "6", "--batch-size", "4", "--max-updates", "2",
+            "--eval-every", eval_every, "--init-checkpoint", "model.ckpt", *rows,
+        )
+        assert code == 2
+        assert err.startswith("error: a sweep needs")
+        assert not out
 
     def test_k_sweep_reports_stddev_and_bleu(self, trained, capsys):
         code, out, _ = run(

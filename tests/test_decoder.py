@@ -5,12 +5,131 @@ from hypothesis import strategies as st
 
 from conftest import noisy_params, toy_config
 from riskseq.decoder import beam_decode, decode_corpus, greedy_decode
-from riskseq.model import BOS, EOS, PAD, sequence_logprob
+from riskseq.diffcore import Tape
+from riskseq.model import BOS, EOS, PAD, BoundModel, PrefixMemo, sequence_logprob
 
 
 def models(n, tgt_vocab=8):
     cfg = toy_config(tgt_vocab=tgt_vocab, src_vocab_size=8, max_len=6)
     return cfg, [noisy_params(cfg, seed=s, scale=0.8) for s in range(n)]
+
+
+# The tape-stepping searches the memo-stepping ones replaced: every live
+# hypothesis carries its own decoder state and steps it afresh.
+
+
+def _reference_logdist(tape, bound, prev, state, ann):
+    logits, new_state = bound.step_logits(prev, state, ann)
+    logdist = tape.log_softmax(logits).value.copy()
+    logdist[PAD] = -np.inf
+    logdist[BOS] = -np.inf
+    return logdist, new_state
+
+
+def reference_greedy(params, src, max_len):
+    tape = Tape(record=False)
+    bound = BoundModel(params, tape)
+    ann = bound.encode(src)
+    state, prev, tokens = bound.initial_state(ann), BOS, []
+    for _ in range(max_len):
+        logdist, state = _reference_logdist(tape, bound, prev, state, ann)
+        tok = int(np.argmax(logdist))
+        tokens.append(tok)
+        if tok == EOS:
+            break
+        prev = tok
+    return tuple(tokens)
+
+
+def reference_beam(params, src, width, max_len, length_normalize=True):
+    tape = Tape(record=False)
+    bound = BoundModel(params, tape)
+    ann = bound.encode(src)
+    live = [((), 0.0, BOS, bound.initial_state(ann))]
+    completed = []
+
+    def norm_score(tokens, lp):
+        return lp / len(tokens) if length_normalize else lp
+
+    def bound_score(tokens, lp):
+        if not length_normalize:
+            return lp
+        return lp / max_len if lp < 0 else lp / (len(tokens) + 1)
+
+    for _ in range(max_len):
+        if not live:
+            break
+        expansions = []
+        for tokens, lp, prev, state in live:
+            logdist, new_state = _reference_logdist(tape, bound, prev, state, ann)
+            for tok in range(len(logdist)):
+                if logdist[tok] != -np.inf:
+                    expansions.append(
+                        (tokens + (tok,), lp + float(logdist[tok]), tok, new_state)
+                    )
+        expansions.sort(key=lambda h: (-h[1], h[0]))
+        live = []
+        for tokens, lp, tok, state in expansions[:width]:
+            if tok == EOS:
+                completed.append((tokens, lp))
+            else:
+                live.append((tokens, lp, tok, state))
+        if completed and live:
+            best_done = max(norm_score(t, lp) for t, lp in completed)
+            if all(bound_score(t, lp) < best_done for t, lp, _, _ in live):
+                break
+    pool = completed if completed else [(t, lp) for t, lp, _, _ in live]
+    return min(pool, key=lambda h: (-norm_score(h[0], h[1]), h[0]))[0]
+
+
+class TestMatchesTapeStepping:
+    @given(
+        seed=st.integers(0, 10**6),
+        tgt_vocab=st.integers(5, 10),
+        src=st.lists(st.integers(4, 7), min_size=1, max_size=5),
+        width=st.integers(1, 10),
+        max_len=st.integers(1, 7),
+        length_normalize=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_outputs_equal_reference(
+        self, seed, tgt_vocab, src, width, max_len, length_normalize
+    ):
+        cfg = toy_config(tgt_vocab=tgt_vocab, src_vocab_size=8, max_len=max_len)
+        params = noisy_params(cfg, seed=seed, scale=1.5)
+        assert greedy_decode(params, src, max_len) == reference_greedy(
+            params, src, max_len
+        )
+        assert beam_decode(
+            params, src, width, max_len, length_normalize
+        ) == reference_beam(params, src, width, max_len, length_normalize)
+
+    def test_one_encode_and_one_step_per_expanded_prefix(self, monkeypatch):
+        _, params_list = models(1)
+        calls = {"encode": 0, "step": 0}
+        expanded = []
+        encode, step = BoundModel.encode, BoundModel.step_logits
+        next_logdist = PrefixMemo.next_logdist
+
+        def counting_encode(self, src):
+            calls["encode"] += 1
+            return encode(self, src)
+
+        def counting_step(self, prev, state, ann):
+            calls["step"] += 1
+            return step(self, prev, state, ann)
+
+        def recording_next_logdist(self, prefix):
+            expanded.append(prefix)
+            return next_logdist(self, prefix)
+
+        monkeypatch.setattr(BoundModel, "encode", counting_encode)
+        monkeypatch.setattr(BoundModel, "step_logits", counting_step)
+        monkeypatch.setattr(PrefixMemo, "next_logdist", recording_next_logdist)
+        beam_decode(params_list[0], [4, 5, 6], 4, 6)
+        assert len(expanded) > 4
+        assert len(set(expanded)) == len(expanded)
+        assert calls == {"encode": 1, "step": len(expanded)}
 
 
 class TestGreedy:
@@ -95,6 +214,13 @@ class TestBeam:
         _, params_list = models(1)
         with pytest.raises(ValueError):
             beam_decode(params_list[0], [4], 0, 6)
+
+    def test_length_limit_below_one_rejected(self):
+        _, params_list = models(1)
+        with pytest.raises(ValueError, match="length limit"):
+            beam_decode(params_list[0], [4], 2, 0)
+        with pytest.raises(ValueError, match="length limit"):
+            greedy_decode(params_list[0], [4], 0)
 
     def test_deterministic(self):
         _, params_list = models(1)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskseq.diffcore import ParamStore, Tape
 from riskseq.model import (
@@ -171,6 +173,28 @@ class TestSequenceLogprob:
         a, _ = sequence_logprob(params, [4, 5], [6, EOS])
         b, _ = sequence_logprob(params, [4, 5], [6, EOS, PAD, PAD])
         assert a == b
+
+    @given(
+        seed=st.integers(0, 10**6),
+        src=st.lists(st.integers(4, 6), min_size=1, max_size=5),
+        body=st.lists(st.integers(2, 6), min_size=0, max_size=7),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_byte_equal_to_recording_tape(self, seed, src, body):
+        cfg = tiny_config()
+        params = init_params(cfg, seed)
+        rng = np.random.default_rng(seed)
+        params.set_flat(params.flat() + rng.normal(size=params.size))
+        tgt = body + [EOS]
+        total, per_word = sequence_logprob(params, src, tgt)
+        tape = Tape()
+        bound = BoundModel(params, tape)
+        node = bound.sequence_logprob_nodes(bound.encode(src), tgt)
+        picks = node.parents[0].parents  # sum <- stack_rows <- per-word picks
+        assert np.float64(total).tobytes() == node.value.tobytes()
+        assert np.array(per_word).tobytes() == np.array(
+            [p.value for p in picks]
+        ).tobytes()
 
     def test_logprob_changes_with_trained_projection(self, tiny):
         _, params = tiny

@@ -86,7 +86,7 @@ def reference_logprobs(params, src, candidates):
     bound = BoundModel(params, Tape(record=False))
     ann = bound.encode(src)
     return np.array(
-        [float(bound.sequence_logprob_nodes(ann, c)[0].value) for c in candidates]
+        [float(bound.sequence_logprob_nodes(ann, c).value) for c in candidates]
     )
 
 
@@ -154,10 +154,10 @@ class TestPrefixMemo:
             candidate_logprobs(params, SRC, [()])
 
     def test_memo_of_another_source_rejected(self, toy_model):
-        from riskseq.mrt import _PrefixMemo
+        from riskseq.model import PrefixMemo
 
         _, params = toy_model
-        memo = _PrefixMemo(params, [5, 4])
+        memo = PrefixMemo(params, [5, 4])
         with pytest.raises(MrtError):
             candidate_logprobs(params, SRC, [GOLD], memo=memo)
 
