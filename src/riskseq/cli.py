@@ -157,6 +157,11 @@ def _load_train_inputs(args, run_cfg: dict):
             model_cfg.max_len, name="valid",
             ref_files=_find_references(args.valid_ref) if args.valid_ref else (),
         )
+        if not valid_corpus:
+            raise DataError(
+                f"no validation pair fits max_len={model_cfg.max_len} "
+                f"({valid_corpus.filtered_count} over length)"
+            )
     return src_vocab, tgt_vocab, model_cfg, train_corpus, valid_corpus
 
 

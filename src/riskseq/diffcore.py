@@ -5,6 +5,17 @@ fixed primitive set, gradient propagation, and a central finite-difference
 oracle for checking gradients. Everything is double precision and
 single-threaded-deterministic: running the same graph twice on the same
 inputs yields identical bits.
+
+Nodes may be fused: a caller can ``emit`` one node for a chain of
+primitives (``model`` does so for a GRU step, attention and the readout).
+Its forward must run the numpy calls the primitives would, on the same
+operands. Its ``vjp`` must return one contribution per entry of
+``parents`` (an input may appear more than once), in the order the
+primitives' reverse sweep would add them to that input, and must combine
+its internal adjoints in that sweep's order too. ``backward`` adds the
+contributions in tuple order (a copy for the first, then ``+=``), so a
+fused node then gives the same gradient bits as the primitives it stands
+for. Pre-summing two contributions to one input changes the rounding.
 """
 
 from __future__ import annotations
@@ -13,6 +24,7 @@ import math
 import os
 import struct
 from contextlib import contextmanager, suppress
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,6 +36,8 @@ __all__ = [
     "Node",
     "Tape",
     "ParamStore",
+    "sigmoid",
+    "log_softmax",
     "finite_diff_grad",
     "relative_error",
 ]
@@ -54,31 +68,31 @@ class NonFiniteError(DiffError):
 
 class Node:
     """A value on the tape. Holds the forward result and, when the tape is
-    recording, references to its inputs and their vector-Jacobian products."""
+    recording, its inputs and one vector-Jacobian product ``vjp``: given
+    this node's adjoint it returns one contribution per entry of
+    ``parents``, in that order. Leaves carry ``vjp=None``."""
 
-    __slots__ = ("value", "parents", "vjps")
+    __slots__ = ("value", "parents", "vjp")
 
-    def __init__(self, value: np.ndarray, parents=(), vjps=()):
+    def __init__(self, value: np.ndarray, parents=(), vjp=None):
         self.value = value
         self.parents = parents
-        self.vjps = vjps
+        self.vjp = vjp
 
     @property
     def shape(self):
         return self.value.shape
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # Split by sign so exp never overflows.
-    out = np.empty_like(x)
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, so exp never
+    # overflows.
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    ex = np.exp(np.where(pos, -x, x))
+    return np.where(pos, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
 
-def _log_softmax(x: np.ndarray) -> np.ndarray:
+def log_softmax(x: np.ndarray) -> np.ndarray:
     # Row-max subtraction keeps magnitudes up to ~700 from overflowing.
     m = np.max(x, axis=-1, keepdims=True)
     shifted = x - m
@@ -86,10 +100,10 @@ def _log_softmax(x: np.ndarray) -> np.ndarray:
 
 
 class Tape:
-    """Single-owner record of primitive operations.
+    """Single-owner record of operations.
 
-    With ``record=False`` the same primitives compute forward values only
-    (no node list, no closures) -- used for sampling and decoding where
+    With ``record=False`` the same operations compute forward values only
+    and keep no node list -- used for sampling and decoding where
     gradients are not needed. ``backward`` is only valid on a recording tape.
     """
 
@@ -99,20 +113,23 @@ class Tape:
 
     # -- node construction ------------------------------------------------
 
-    def _emit(self, value, parents=(), vjps=()) -> Node:
+    def emit(self, value, parents=(), vjp=None) -> Node:
+        """Add a node; on a non-recording tape only its value is kept. A
+        fused node passes its own ``vjp`` under the contract in the module
+        docstring."""
         if self.record:
-            node = Node(value, parents, vjps)
+            node = Node(value, parents, vjp)
             self.nodes.append(node)
         else:
             node = Node(value)
         return node
 
     def const(self, value) -> Node:
-        return self._emit(np.asarray(value, dtype=np.float64))
+        return self.emit(np.asarray(value, dtype=np.float64))
 
     def params(self, store: "ParamStore") -> dict[str, Node]:
         """Bind every parameter tensor as a leaf node. Returns name -> Node."""
-        return {name: self._emit(arr) for name, arr in store.items()}
+        return {name: self.emit(arr) for name, arr in store.items()}
 
     # -- primitives -------------------------------------------------------
 
@@ -120,81 +137,60 @@ class Tape:
         av, bv = a.value, b.value
         if av.ndim == 0 or bv.ndim == 0 or av.shape[-1] != bv.shape[0]:
             raise ShapeMismatchError("matmul", av.shape, bv.shape)
-        value = av @ bv
-        if not self.record:
-            return self._emit(value)
         if av.ndim == 2 and bv.ndim == 1:
-            vjps = (lambda g: np.outer(g, bv), lambda g: av.T @ g)
+            vjp = lambda g: (np.outer(g, bv), av.T @ g)
         elif av.ndim == 1 and bv.ndim == 2:
-            vjps = (lambda g: g @ bv.T, lambda g: np.outer(av, g))
+            vjp = lambda g: (g @ bv.T, np.outer(av, g))
         elif av.ndim == 2 and bv.ndim == 2:
-            vjps = (lambda g: g @ bv.T, lambda g: av.T @ g)
+            vjp = lambda g: (g @ bv.T, av.T @ g)
         else:  # vector . vector -> scalar
-            vjps = (lambda g: g * bv, lambda g: g * av)
-        return self._emit(value, (a, b), vjps)
+            vjp = lambda g: (g * bv, g * av)
+        return self.emit(av @ bv, (a, b), vjp)
 
     def add(self, a: Node, b: Node) -> Node:
         av, bv = a.value, b.value
         if av.shape == bv.shape:
-            if not self.record:
-                return self._emit(av + bv)
-            return self._emit(av + bv, (a, b), (lambda g: g, lambda g: g))
+            return self.emit(av + bv, (a, b), lambda g: (g, g))
         # Row broadcast: (M, A) + (A,) adds b to every row.
         if av.ndim == 2 and bv.ndim == 1 and av.shape[1] == bv.shape[0]:
-            if not self.record:
-                return self._emit(av + bv)
-            return self._emit(
-                av + bv, (a, b), (lambda g: g, lambda g: g.sum(axis=0))
-            )
+            return self.emit(av + bv, (a, b), lambda g: (g, g.sum(axis=0)))
         raise ShapeMismatchError("add", av.shape, bv.shape)
 
     def mul(self, a: Node, b: Node) -> Node:
         av, bv = a.value, b.value
         if av.shape != bv.shape:
             raise ShapeMismatchError("mul", av.shape, bv.shape)
-        if not self.record:
-            return self._emit(av * bv)
-        return self._emit(av * bv, (a, b), (lambda g: g * bv, lambda g: g * av))
+        return self.emit(av * bv, (a, b), lambda g: (g * bv, g * av))
 
     def scale(self, a: Node, c: float) -> Node:
         c = float(c)
-        if not self.record:
-            return self._emit(a.value * c)
-        return self._emit(a.value * c, (a,), (lambda g: g * c,))
+        return self.emit(a.value * c, (a,), lambda g: (g * c,))
 
     def tanh(self, a: Node) -> Node:
         value = np.tanh(a.value)
-        if not self.record:
-            return self._emit(value)
-        return self._emit(value, (a,), (lambda g: g * (1.0 - value * value),))
+        return self.emit(value, (a,), lambda g: (g * (1.0 - value * value),))
 
     def sigmoid(self, a: Node) -> Node:
-        value = _sigmoid(a.value)
-        if not self.record:
-            return self._emit(value)
-        return self._emit(value, (a,), (lambda g: g * value * (1.0 - value),))
+        value = sigmoid(a.value)
+        return self.emit(value, (a,), lambda g: (g * value * (1.0 - value),))
 
     def softmax(self, a: Node) -> Node:
-        value = np.exp(_log_softmax(a.value))
-        if not self.record:
-            return self._emit(value)
+        value = np.exp(log_softmax(a.value))
 
         def vjp(g):
             dot = np.sum(g * value, axis=-1, keepdims=True)
-            return value * (g - dot)
+            return (value * (g - dot),)
 
-        return self._emit(value, (a,), (vjp,))
+        return self.emit(value, (a,), vjp)
 
     def log_softmax(self, a: Node) -> Node:
-        value = _log_softmax(a.value)
+        value = log_softmax(a.value)
         if not self.record:
-            return self._emit(value)
+            return self.emit(value)
         sm = np.exp(value)
-
-        def vjp(g):
-            return g - sm * np.sum(g, axis=-1, keepdims=True)
-
-        return self._emit(value, (a,), (vjp,))
+        return self.emit(
+            value, (a,), lambda g: (g - sm * np.sum(g, axis=-1, keepdims=True),)
+        )
 
     def lookup(self, table: Node, index: int) -> Node:
         """Row selection from a 2-D table (embedding lookup)."""
@@ -202,16 +198,13 @@ class Tape:
         if tv.ndim != 2:
             raise ShapeMismatchError("lookup", tv.shape, (index,))
         index = int(index)
-        value = tv[index]
-        if not self.record:
-            return self._emit(value)
 
         def vjp(g):
             out = np.zeros_like(tv)
             out[index] = g
-            return out
+            return (out,)
 
-        return self._emit(value, (table,), (vjp,))
+        return self.emit(tv[index], (table,), vjp)
 
     def pick(self, a: Node, index: int) -> Node:
         """Element selection from a 1-D vector -> scalar."""
@@ -219,50 +212,33 @@ class Tape:
         if av.ndim != 1:
             raise ShapeMismatchError("pick", av.shape, (index,))
         index = int(index)
-        value = np.asarray(av[index])
-        if not self.record:
-            return self._emit(value)
 
         def vjp(g):
             out = np.zeros_like(av)
             out[index] = g
-            return out
+            return (out,)
 
-        return self._emit(value, (a,), (vjp,))
+        return self.emit(np.asarray(av[index]), (a,), vjp)
 
     def concat(self, parts: Sequence[Node], axis: int = 0) -> Node:
         values = [p.value for p in parts]
-        value = np.concatenate(values, axis=axis)
-        if not self.record:
-            return self._emit(value)
-        sizes = [v.shape[axis] for v in values]
-        offsets = np.cumsum([0] + sizes)
-
-        def make_vjp(i):
-            lo, hi = offsets[i], offsets[i + 1]
-            if axis == 0:
-                return lambda g: g[lo:hi]
-            return lambda g: g[:, lo:hi]
-
-        return self._emit(
-            value, tuple(parts), tuple(make_vjp(i) for i in range(len(parts)))
-        )
+        ends = list(accumulate(v.shape[axis] for v in values))
+        cuts = list(zip([0] + ends[:-1], ends))
+        if axis == 0:
+            vjp = lambda g: tuple(g[lo:hi] for lo, hi in cuts)
+        else:
+            vjp = lambda g: tuple(g[:, lo:hi] for lo, hi in cuts)
+        return self.emit(np.concatenate(values, axis=axis), tuple(parts), vjp)
 
     def stack_rows(self, rows: Sequence[Node]) -> Node:
         value = np.stack([r.value for r in rows], axis=0)
-        if not self.record:
-            return self._emit(value)
-        vjps = tuple(
-            (lambda i: lambda g: g[i])(i) for i in range(len(rows))
-        )
-        return self._emit(value, tuple(rows), vjps)
+        return self.emit(value, tuple(rows), lambda g: tuple(g))
 
     def sum(self, a: Node) -> Node:
-        value = np.asarray(a.value.sum())
-        if not self.record:
-            return self._emit(value)
         shape = a.value.shape
-        return self._emit(value, (a,), (lambda g: np.full(shape, float(g)),))
+        return self.emit(
+            np.asarray(a.value.sum()), (a,), lambda g: (np.full(shape, float(g)),)
+        )
 
     # -- gradient propagation --------------------------------------------
 
@@ -274,11 +250,12 @@ class Tape:
             raise DiffError(f"backward seed must be scalar, got shape {seed.value.shape}")
         adjoints: dict[int, np.ndarray] = {id(seed): np.asarray(1.0)}
         for node in reversed(self.nodes):
+            if node.vjp is None:
+                continue
             g = adjoints.get(id(node))
             if g is None:
                 continue
-            for parent, vjp in zip(node.parents, node.vjps):
-                contrib = vjp(g)
+            for parent, contrib in zip(node.parents, node.vjp(g)):
                 key = id(parent)
                 acc = adjoints.get(key)
                 if acc is None:

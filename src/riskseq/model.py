@@ -7,6 +7,12 @@ decoder state, attention context] followed by a linear output projection.
 
 All weight matrices are stored (in_dim, out_dim) and applied as x @ W so
 the tape only ever needs vector-matrix products.
+
+A GRU step, the attention and the readout are each one fused tape node
+(see ``diffcore``). Their forwards run the numpy calls of the primitive
+chains named in their docstrings, and their VJPs add every adjoint
+contribution in the order those chains' reverse sweep would, so gradients
+are bit-identical to the primitive-built model.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .diffcore import Node, ParamStore, Tape, atomic_writer
+from .diffcore import Node, ParamStore, Tape, atomic_writer, log_softmax, sigmoid
 
 __all__ = [
     "PAD",
@@ -158,27 +164,46 @@ class BoundModel:
         self.store = store
         self.tape = tape
         self.pn = tape.params(store)
-        hidden = store["dec_init_b"].shape[0]
-        self._ones_h = tape.const(np.ones(hidden))
         self.tgt_vocab_size = store["out_b"].shape[0]
         self.src_vocab_size = store["src_embed"].shape[0]
 
     # -- recurrent pieces -------------------------------------------------
 
     def _gru_step(self, prefix: str, x: Node, h: Node) -> Node:
-        t, p = self.tape, self.pn
-        z = t.sigmoid(
-            t.add(t.add(t.matmul(x, p[f"{prefix}_Wz"]), t.matmul(h, p[f"{prefix}_Uz"])), p[f"{prefix}_bz"])
+        """h' = (1 - z) * h + z * tanh(x Wh + (r * h) Uh + bh), with gates
+        z, r = sigmoid(x W + h U + b); each sum adds left to right."""
+        Wz, Uz, bz, Wr, Ur, br, Wh, Uh, bh = (
+            self.pn[f"{prefix}_{name}"]
+            for name in ("Wz", "Uz", "bz", "Wr", "Ur", "br", "Wh", "Uh", "bh")
         )
-        r = t.sigmoid(
-            t.add(t.add(t.matmul(x, p[f"{prefix}_Wr"]), t.matmul(h, p[f"{prefix}_Ur"])), p[f"{prefix}_br"])
-        )
-        rh = t.mul(r, h)
-        hbar = t.tanh(
-            t.add(t.add(t.matmul(x, p[f"{prefix}_Wh"]), t.matmul(rh, p[f"{prefix}_Uh"])), p[f"{prefix}_bh"])
-        )
-        keep = t.add(self._ones_h, t.scale(z, -1.0))
-        return t.add(t.mul(keep, h), t.mul(z, hbar))
+        xv, hv = x.value, h.value
+        z = sigmoid(xv @ Wz.value + hv @ Uz.value + bz.value)
+        r = sigmoid(xv @ Wr.value + hv @ Ur.value + br.value)
+        rh = r * hv
+        hbar = np.tanh(xv @ Wh.value + rh @ Uh.value + bh.value)
+        keep = 1.0 - z  # bit-equal to 1 + z * -1.0
+
+        def vjp(g):
+            # d*_pre: adjoints of the three pre-activation sums. z is reached
+            # through z * hbar, then through keep = 1 + z * -1.0.
+            dz = g * hbar + g * hv * -1.0
+            dh_pre = g * z * (1.0 - hbar * hbar)
+            drh = dh_pre @ Uh.value.T
+            dr_pre = drh * hv * r * (1.0 - r)
+            dz_pre = dz * z * keep
+            return (
+                g * keep, dh_pre, rh[:, None] * dh_pre,
+                dh_pre @ Wh.value.T, xv[:, None] * dh_pre, drh * r,
+                dr_pre, dr_pre @ Ur.value.T, hv[:, None] * dr_pre,
+                dr_pre @ Wr.value.T, xv[:, None] * dr_pre,
+                dz_pre, dz_pre @ Uz.value.T, hv[:, None] * dz_pre,
+                dz_pre @ Wz.value.T, xv[:, None] * dz_pre,
+            )
+
+        # Sweep order: h gets four contributions (through keep * h, r * h,
+        # h @ Ur, h @ Uz) and x three (through Wh, Wr, Wz), never pre-summed.
+        parents = (h, bh, Uh, x, Wh, h, br, h, Ur, x, Wr, bz, h, Uz, x, Wz)
+        return self.tape.emit(keep * hv + z * hbar, parents, vjp)
 
     def encode(self, src: Sequence[int]) -> Annotations:
         t, p = self.tape, self.pn
@@ -215,12 +240,46 @@ class BoundModel:
         return StepState(z=z0, attn_weights=None)
 
     def _attend(self, z: Node, ann: Annotations) -> tuple[Node, Node]:
-        t, p = self.tape, self.pn
-        e = t.tanh(t.add(ann.attn_proj, t.matmul(z, p["attn_W"])))
-        scores = t.matmul(e, p["attn_v"])
-        weights = t.softmax(scores)
-        context = t.matmul(weights, ann.matrix)
-        return weights, context
+        """Attention weights softmax(tanh(attn_proj + z attn_W) attn_v) as
+        an unrecorded node, and the context (weights @ matrix)."""
+        W, v = self.pn["attn_W"], self.pn["attn_v"]
+        matrix, proj = ann.matrix, ann.attn_proj
+        e = np.tanh(proj.value + z.value @ W.value)
+        weights = np.exp(log_softmax(e @ v.value))
+
+        def vjp(g):
+            dw = g @ matrix.value.T
+            ds = weights * (dw - np.sum(dw * weights, axis=-1, keepdims=True))
+            de = ds[:, None] * v.value * (1.0 - e * e)
+            dze = de.sum(axis=0)
+            return (
+                weights[:, None] * g, e.T @ ds, de,
+                dze @ W.value.T, z.value[:, None] * dze,
+            )
+
+        context = self.tape.emit(
+            weights @ matrix.value, (matrix, v, proj, z, W), vjp
+        )
+        return Node(weights), context
+
+    def _readout(self, emb: Node, z_new: Node, context: Node) -> Node:
+        """Logits tanh([emb, z_new, context] read_W + read_b) out_W + out_b."""
+        p = self.pn
+        rW, rb, oW, ob = p["read_W"], p["read_b"], p["out_W"], p["out_b"]
+        c = np.concatenate([emb.value, z_new.value, context.value], axis=0)
+        readout = np.tanh(c @ rW.value + rb.value)
+        lo, hi = emb.value.shape[0], emb.value.shape[0] + z_new.value.shape[0]
+
+        def vjp(g):
+            dsum = (g @ oW.value.T) * (1.0 - readout * readout)
+            dc = dsum @ rW.value.T
+            return (
+                g, readout[:, None] * g, dsum, c[:, None] * dsum,
+                dc[:lo], dc[lo:hi], dc[hi:],
+            )
+
+        parents = (ob, oW, rb, rW, emb, z_new, context)
+        return self.tape.emit(readout @ oW.value + ob.value, parents, vjp)
 
     def step_logits(
         self, prev_word: int, state: StepState, ann: Annotations
@@ -230,12 +289,8 @@ class BoundModel:
             raise ModelError(f"target token id {prev_word} out of range")
         emb = t.lookup(p["tgt_embed"], prev_word)
         weights, context = self._attend(state.z, ann)
-        x = t.concat([emb, context])
-        z_new = self._gru_step("dec", x, state.z)
-        readout = t.tanh(
-            t.add(t.matmul(t.concat([emb, z_new, context]), p["read_W"]), p["read_b"])
-        )
-        logits = t.add(t.matmul(readout, p["out_W"]), p["out_b"])
+        z_new = self._gru_step("dec", t.concat([emb, context]), state.z)
+        logits = self._readout(emb, z_new, context)
         return logits, StepState(z=z_new, attn_weights=weights)
 
     def sequence_logprob_nodes(self, ann: Annotations, tgt: Sequence[int]) -> Node:

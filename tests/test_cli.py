@@ -383,6 +383,34 @@ class TestValidationReferences:
         assert "reference lines" in err
 
 
+    @pytest.mark.parametrize(
+        "command, rows",
+        [("train", ["--checkpoint-out", "m.ckpt"]),
+         ("alpha-sweep", ["--alphas", "1.0"]),
+         ("k-sweep", ["--ks", "2", "--init-checkpoint", "m.ckpt"])],
+    )
+    def test_validation_set_emptied_by_max_len_is_data_error(
+        self, lex_dir, capsys, command, rows
+    ):
+        # every kept validation line has 5+ words, so --max-len 5 drops all
+        for side in ("src", "tgt"):
+            lines = (lex_dir / f"valid.{side}").read_text().splitlines()
+            long = [l for l in lines if len(l.split()) >= 5]
+            assert long
+            (lex_dir / f"long.{side}").write_text("\n".join(long) + "\n")
+        code, out, err = run(
+            capsys, command, "--quiet",
+            "--train-src", "d/train.src", "--train-tgt", "d/train.tgt",
+            "--valid-src", "d/long.src", "--valid-tgt", "d/long.tgt",
+            "--src-vocab", "d/vocab.txt", "--tgt-vocab", "d/vocab.txt",
+            "--embed-dim", "4", "--hidden-dim", "6", "--attention-dim", "4",
+            "--max-len", "5", "--max-updates", "2", "--eval-every", "1", *rows,
+        )
+        assert code == 2
+        assert "no validation pair fits max_len=5" in err
+        assert not out
+
+
 class TestSweeps:
     def test_alpha_sweep_rows_in_input_order(self, trained, capsys):
         code, out, _ = run(

@@ -16,6 +16,7 @@ from riskseq.diffcore import (
     finite_diff_grad,
     relative_error,
 )
+from riskseq.model import Annotations, BoundModel, ModelConfig, init_params
 
 
 def make_store(**arrays):
@@ -155,6 +156,54 @@ class TestBackward:
         tape, pn, seed = build(store)
         grad = tape.gradient(seed, store, pn)
         fd = finite_diff_grad(lambda s: float(build(s)[2].value), store)
+        assert relative_error(grad, fd) <= 1e-6
+
+    def test_repeated_parent_accumulates_in_tuple_order(self):
+        store = make_store(x=[0.0])
+        tape = Tape()
+        pn = tape.params(store)
+        first = np.array([1.0])
+        parts = (first, np.array([2.0**-53]), np.array([2.0**-53]))
+        y = tape.emit(np.array([0.0]), (pn["x"],) * 3, lambda g: parts)
+        grad = tape.gradient(tape.sum(y), store, pn)
+        # (1 + u) + u rounds to 1; adding in any other order gives 1 + 2u
+        assert grad.tobytes() == ((parts[0] + parts[1]) + parts[2]).tobytes()
+        assert grad.tobytes() != (parts[0] + (parts[1] + parts[2])).tobytes()
+        assert first.tolist() == [1.0]  # the first contribution is copied
+
+    @pytest.mark.parametrize("node", ["gru_step", "attend", "readout"])
+    def test_each_fused_node_matches_finite_differences(self, node):
+        E, H, A, M = 3, 4, 2, 3
+        cfg = ModelConfig(6, 6, embed_dim=E, hidden_dim=H, attention_dim=A)
+        store = init_params(cfg, seed=1)
+        rng = np.random.default_rng(len(node))
+        store.set_flat(store.flat() + 0.3 * rng.normal(size=store.size))
+        inputs = {"x": E + 2 * H, "h": H, "emb": E, "ctx": 2 * H}
+        for name, size in inputs.items():
+            store.add(name, rng.normal(size=size))
+        store.add("matrix", rng.normal(size=(M, 2 * H)))
+        store.add("proj", rng.normal(size=(M, A)))
+        weights = {"gru_step": H, "attend": 2 * H, "readout": 6}
+
+        def build(s):
+            bound = BoundModel(s, Tape())
+            t, p = bound.tape, bound.pn
+            if node == "gru_step":
+                out = bound._gru_step("dec", p["x"], p["h"])
+            elif node == "attend":
+                ann = Annotations(matrix=p["matrix"], attn_proj=p["proj"],
+                                  bwd_first=p["h"])
+                out = bound._attend(p["h"], ann)[1]
+            else:
+                out = bound._readout(p["emb"], p["h"], p["ctx"])
+            mix = t.const(np.linspace(-1.0, 1.5, weights[node]))
+            return t, p, t.sum(t.mul(out, mix))
+
+        tape, pn, seed = build(store)
+        assert len(tape.nodes) == len(pn) + 4  # fused node, const, mul, sum
+        grad = tape.gradient(seed, store, pn)
+        fd = finite_diff_grad(lambda s: float(build(s)[2].value), store)
+        assert np.any(grad != 0.0)
         assert relative_error(grad, fd) <= 1e-6
 
     def test_forward_backward_bitwise_reproducible(self):

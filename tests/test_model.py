@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,61 @@ from riskseq.model import (
     save_model,
     sequence_logprob,
 )
+from riskseq.mrt import (
+    expected_risk,
+    mle_loss_and_grad,
+    mrt_grad,
+    q_distribution,
+    sample_space,
+)
+
+
+# -- per-op reference ------------------------------------------------------
+# The GRU step, attention and readout built from tape primitives, one node
+# per primitive. BoundModel fuses each into one node whose values and
+# gradient bits must equal these.
+
+
+def per_op_gru_step(self, prefix, x, h):
+    t, p = self.tape, self.pn
+    z = t.sigmoid(
+        t.add(t.add(t.matmul(x, p[f"{prefix}_Wz"]), t.matmul(h, p[f"{prefix}_Uz"])), p[f"{prefix}_bz"])
+    )
+    r = t.sigmoid(
+        t.add(t.add(t.matmul(x, p[f"{prefix}_Wr"]), t.matmul(h, p[f"{prefix}_Ur"])), p[f"{prefix}_br"])
+    )
+    rh = t.mul(r, h)
+    hbar = t.tanh(
+        t.add(t.add(t.matmul(x, p[f"{prefix}_Wh"]), t.matmul(rh, p[f"{prefix}_Uh"])), p[f"{prefix}_bh"])
+    )
+    keep = t.add(t.const(np.ones(h.value.shape[0])), t.scale(z, -1.0))
+    return t.add(t.mul(keep, h), t.mul(z, hbar))
+
+
+def per_op_attend(self, z, ann):
+    t, p = self.tape, self.pn
+    e = t.tanh(t.add(ann.attn_proj, t.matmul(z, p["attn_W"])))
+    scores = t.matmul(e, p["attn_v"])
+    weights = t.softmax(scores)
+    context = t.matmul(weights, ann.matrix)
+    return weights, context
+
+
+def per_op_readout(self, emb, z_new, context):
+    t, p = self.tape, self.pn
+    readout = t.tanh(
+        t.add(t.matmul(t.concat([emb, z_new, context]), p["read_W"]), p["read_b"])
+    )
+    return t.add(t.matmul(readout, p["out_W"]), p["out_b"])
+
+
+def per_op_model():
+    """Patch BoundModel to step through the per-op reference (a context
+    manager; ``.start()`` patches for the rest of the process)."""
+    return mock.patch.multiple(
+        BoundModel, _gru_step=per_op_gru_step, _attend=per_op_attend,
+        _readout=per_op_readout,
+    )
 
 
 def tiny_config(**overrides):
@@ -204,6 +260,71 @@ class TestSequenceLogprob:
         w[:, 6] = 0.5
         after, _ = sequence_logprob(bumped, [4, 5], [6, EOS])
         assert after > before
+
+
+def forward_values(params, src, tgt, record):
+    """Annotations, then logits, state and attention weights per step."""
+    bound = BoundModel(params, Tape(record=record))
+    ann = bound.encode(src)
+    out = [ann.matrix.value, ann.attn_proj.value, ann.bwd_first.value]
+    state, prev = bound.initial_state(ann), BOS
+    for tok in tgt:
+        logits, state = bound.step_logits(prev, state, ann)
+        out += [logits.value, state.z.value, state.attn_weights.value]
+        prev = tok
+    return [v.tobytes() for v in out]
+
+
+def gradient_bytes(params, src, tgt, seed):
+    loss, grad = mle_loss_and_grad(params, [(src, tgt)])
+    rng = np.random.default_rng(seed)
+    space = sample_space(params, src, tgt, 6, len(tgt) + 1, rng)
+    q = q_distribution(space, 0.5)
+    losses = rng.uniform(size=len(space.candidates))
+    report = expected_risk(space, q, losses)
+    risk_grad = mrt_grad(params, src, space, q, report, 0.5)
+    return np.float64(loss).tobytes(), grad.tobytes(), risk_grad.tobytes()
+
+
+class TestFusedNodes:
+    @given(
+        seed=st.integers(0, 10**6),
+        dims=st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8)),
+        vocab=st.integers(4, 10),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_byte_equal_to_per_op_reference(self, seed, dims, vocab, data):
+        E, H, A = dims
+        cfg = ModelConfig(vocab, vocab, E, H, A, max_len=8)
+        params = init_params(cfg, seed)
+        rng = np.random.default_rng(seed)
+        params.set_flat(params.flat() + rng.normal(size=params.size))
+        src = data.draw(st.lists(st.integers(1, vocab - 1), min_size=1, max_size=6))
+        body = data.draw(st.lists(st.integers(2, vocab - 1), max_size=5))
+        tgt = body + [EOS]
+        fused = [forward_values(params, src, tgt, record) for record in (True, False)]
+        fused_grads = gradient_bytes(params, src, tgt, seed)
+        with per_op_model():
+            per_op = [forward_values(params, src, tgt, record) for record in (True, False)]
+            per_op_grads = gradient_bytes(params, src, tgt, seed)
+        assert fused == per_op
+        assert fused_grads == per_op_grads
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_node_counts(self, tiny, n):
+        # One node each for the GRU steps, attention and readout: un-fusing
+        # any of them multiplies these counts (178 and 37 for n=4 per-op).
+        _, params = tiny
+        bound = BoundModel(params, Tape())
+        nodes = bound.tape.nodes
+        before = len(nodes)
+        ann = bound.encode([4, 5, 6, 4, 5, 6][:n])
+        assert len(nodes) - before <= 3 * n + 6
+        state = bound.initial_state(ann)
+        before = len(nodes)
+        bound.step_logits(BOS, state, ann)
+        assert len(nodes) - before <= 5
 
 
 class TestCheckpoint:

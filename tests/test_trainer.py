@@ -175,7 +175,9 @@ class TestTrainMrt:
 
 
 # Trains the acceptance recipe's MLE config for 60 updates, then 3 MRT
-# updates at k=20, and writes the final parameter bytes to stdout.
+# updates at k=20, and writes the final parameter bytes to stdout. With the
+# argument "per-op" the model steps through the per-op reference of
+# tests/test_model.py instead of its fused nodes.
 _RECIPE_SCRIPT = """
 import sys
 from riskseq.data import gen_synthetic
@@ -184,6 +186,9 @@ from riskseq.trainer import TrainConfig, train
 from test_acceptance import (LEXICON_DATA_SEED, LEXICON_LEN_RANGE,
     LEXICON_PAIRS, LEXICON_VOCAB, MLE_RECIPE, MRT_RECIPE, RECIPE_MODEL)
 
+if sys.argv[1:] == ["per-op"]:
+    from test_model import per_op_model
+    per_op_model().start()
 train_c, _, _ = gen_synthetic("lexicon", LEXICON_VOCAB, LEXICON_PAIRS,
                               LEXICON_LEN_RANGE, seed=LEXICON_DATA_SEED)
 model_cfg = ModelConfig(**RECIPE_MODEL)
@@ -195,34 +200,48 @@ sys.stdout.buffer.write(mrt.final_params.flat().tobytes())
 """
 
 
+def run_recipe_script(runs):
+    """Run _RECIPE_SCRIPT concurrently once per (BLAS threads or None,
+    script arguments) and return each run's stdout."""
+    tests_dir = Path(__file__).resolve().parent
+    src_dir = tests_dir.parent / "src"
+    procs = []
+    for threads, argv in runs:
+        env = dict(os.environ)
+        if threads is not None:
+            env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src_dir), str(tests_dir),
+                        os.environ.get("PYTHONPATH")) if p
+        )
+        procs.append(subprocess.Popen(
+            [sys.executable, "-c", _RECIPE_SCRIPT, *argv], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        ))
+    try:
+        outputs = [proc.communicate(timeout=300) for proc in procs]
+    finally:
+        for proc in procs:
+            proc.kill()  # no-op for a process that has exited
+    for proc, (_, err) in zip(procs, outputs):
+        assert proc.returncode == 0, err.decode()
+    return [out for out, _ in outputs]
+
+
 class TestBlasThreadInvariance:
     def test_recipe_params_identical_with_one_and_two_blas_threads(self):
         # On a 1-CPU machine OpenBLAS caps itself at one thread, so both
         # runs are single-threaded and this passes without discriminating.
-        tests_dir = Path(__file__).resolve().parent
-        src_dir = tests_dir.parent / "src"
-        procs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       OMP_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(
-                p for p in (str(src_dir), str(tests_dir),
-                            os.environ.get("PYTHONPATH")) if p
-            )
-            procs.append(subprocess.Popen(
-                [sys.executable, "-c", _RECIPE_SCRIPT], env=env,
-                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            ))
-        try:
-            outputs = [proc.communicate(timeout=300) for proc in procs]
-        finally:
-            for proc in procs:
-                proc.kill()  # no-op for a process that has exited
-        for proc, (_, err) in zip(procs, outputs):
-            assert proc.returncode == 0, err.decode()
-        (one, _), (two, _) = outputs
+        one, two = run_recipe_script([("1", ()), ("2", ())])
         assert len(one) > 0
         assert one == two
+
+
+class TestFusedNodesInTraining:
+    def test_recipe_params_identical_to_per_op_reference(self):
+        fused, per_op = run_recipe_script([(None, ()), (None, ("per-op",))])
+        assert len(fused) > 0
+        assert fused == per_op
 
 
 class TestCurveCsv:
