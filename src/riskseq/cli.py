@@ -22,7 +22,7 @@ from .decoder import beam_decode, greedy_decode
 from .diffcore import DiffError, ParamStore
 from .metrics import LossKind, MetricError
 from .model import EOS, ModelConfig, ModelError, check_params, init_params
-from .model import load_model, save_model
+from .model import check_vocabs, load_model, save_model
 from .mrt import MrtError
 from .oracle import OracleError
 from .trainer import TrainConfig, TrainError
@@ -165,21 +165,29 @@ def _load_train_inputs(args, run_cfg: dict):
     return src_vocab, tgt_vocab, model_cfg, train_corpus, valid_corpus
 
 
-def _train_config(args, run_cfg: dict) -> TrainConfig:
-    return TrainConfig(**_merged(run_cfg, args, TRAIN_KEYS))
+def _train_config(args, run_cfg: dict, inputs) -> TrainConfig:
+    """The run's TrainConfig. An init checkpoint whose sidecar records vocab
+    hashes must have been trained with the run's vocabs."""
+    cfg = TrainConfig(**_merged(run_cfg, args, TRAIN_KEYS))
+    if cfg.init_checkpoint is not None:
+        src_vocab, tgt_vocab = inputs[:2]
+        check_vocabs(cfg.init_checkpoint, (src_vocab.tokens, tgt_vocab.tokens))
+    return cfg
 
 
 def cmd_train(args) -> int:
     run_cfg = load_run_config(args.config) if args.config else {}
-    src_vocab, tgt_vocab, model_cfg, train_corpus, valid_corpus = _load_train_inputs(
-        args, run_cfg
-    )
-    cfg = _train_config(args, run_cfg)
+    inputs = _load_train_inputs(args, run_cfg)
+    src_vocab, tgt_vocab, model_cfg, train_corpus, valid_corpus = inputs
+    cfg = _train_config(args, run_cfg, inputs)
     _log_config_header(
         {"model": model_cfg.to_dict(), "train": {**cfg.__dict__, "loss_kind": cfg.loss_kind.value}}
     )
     result = trainer.train(cfg, model_cfg, train_corpus, valid_corpus)
-    save_model(result.best_params, model_cfg, args.checkpoint_out)
+    save_model(
+        result.best_params, model_cfg, args.checkpoint_out,
+        (src_vocab.tokens, tgt_vocab.tokens),
+    )
     if args.curve_out:
         with open(args.curve_out, "w", encoding="utf-8") as fh:
             fh.write(trainer.curve_to_csv(result.curve))
@@ -188,21 +196,17 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_vocabs(args, model_cfg: ModelConfig) -> tuple[Vocab, Vocab]:
-    """Source and target vocab, checked against the checkpoint's sizes."""
+def _load_checkpoint(args) -> tuple[ParamStore, ModelConfig, Vocab, Vocab]:
+    """Checkpoint, config and source/target vocabs, checked to fit each other."""
     src_vocab, tgt_vocab = Vocab.load(args.src_vocab), Vocab.load(args.tgt_vocab)
-    sizes = (model_cfg.src_vocab_size, model_cfg.tgt_vocab_size)
-    if (src_vocab.size, tgt_vocab.size) != sizes:
-        raise DataError(
-            f"vocab sizes {src_vocab.size}/{tgt_vocab.size} (source/target) do "
-            f"not match the checkpoint's {sizes[0]}/{sizes[1]}"
-        )
-    return src_vocab, tgt_vocab
+    params, model_cfg = load_model(
+        args.checkpoint, (src_vocab.tokens, tgt_vocab.tokens)
+    )
+    return params, model_cfg, src_vocab, tgt_vocab
 
 
 def cmd_decode(args) -> int:
-    params, model_cfg = load_model(args.checkpoint)
-    src_vocab, tgt_vocab = _load_vocabs(args, model_cfg)
+    params, model_cfg, src_vocab, tgt_vocab = _load_checkpoint(args)
     max_len = args.max_len if args.max_len is not None else model_cfg.max_len
     lines = []
     for words in data.read_token_lines(args.input):
@@ -241,8 +245,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    params, model_cfg = load_model(args.checkpoint)
-    src_vocab, tgt_vocab = _load_vocabs(args, model_cfg)
+    params, model_cfg, src_vocab, tgt_vocab = _load_checkpoint(args)
     kind = LossKind.parse(args.loss)
     srcs = data.read_token_lines(args.input)
     golds = data.read_token_lines(args.gold)
@@ -327,7 +330,7 @@ def _sweep_train(inputs, cfg: TrainConfig, initial: ParamStore | None = None):
 def cmd_alpha_sweep(args) -> int:
     run_cfg = load_run_config(args.config) if args.config else {}
     inputs = _load_train_inputs(args, run_cfg)
-    cfg = _train_config(args, run_cfg)
+    cfg = _train_config(args, run_cfg, inputs)
     _check_sweep_scores(inputs, cfg)
     print("alpha,valid_bleu")
     for alpha in args.alphas:
@@ -344,7 +347,7 @@ def cmd_k_sweep(args) -> int:
     run_cfg = load_run_config(args.config) if args.config else {}
     inputs = _load_train_inputs(args, run_cfg)
     _, _, model_cfg, train_corpus, _ = inputs
-    cfg = _train_config(args, run_cfg)
+    cfg = _train_config(args, run_cfg, inputs)
     if cfg.init_checkpoint is None:
         raise TrainError("k-sweep requires an initial checkpoint")
     params = ParamStore.load(cfg.init_checkpoint)

@@ -101,31 +101,45 @@ def sentence_bleu_smoothed(hyp: Tokens, ref: Tokens) -> float:
 # -- sentence TER ---------------------------------------------------------
 
 
-def _levenshtein(a: tuple, b: tuple) -> int:
-    if len(a) < len(b):
-        a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i, tok in enumerate(a, start=1):
-        cur = [i]
-        for j, ref_tok in enumerate(b, start=1):
-            cur.append(
-                min(
-                    prev[j] + 1,
-                    cur[j - 1] + 1,
-                    prev[j - 1] + (tok != ref_tok),
-                )
-            )
-        prev = cur
-    return prev[-1]
+def _distance_to(ref: tuple):
+    """The function hyp -> word edit distance from hyp to ``ref`` (non-empty).
+
+    Myers' (1999) bit-parallel column recurrence in Hyyrö's (2001) global
+    form, with ``ref`` as the pattern: bit i of ``peq[tok]`` is set iff
+    ref[i] is tok. Python ints are the bit-vectors, so |ref| is unbounded.
+    """
+    m = len(ref)
+    peq: dict = {}
+    for i, tok in enumerate(ref):
+        peq[tok] = peq.get(tok, 0) | (1 << i)
+    mask = (1 << m) - 1
+    high = 1 << (m - 1)
+
+    def distance(hyp: tuple) -> int:
+        pv, mv, score = mask, 0, m
+        for tok in hyp:
+            eq = peq.get(tok, 0)
+            xv = eq | mv
+            xh = (((eq & pv) + pv) ^ pv) | eq
+            ph = mv | (mask ^ ((xh | pv) & mask))
+            mh = pv & xh
+            if ph & high:
+                score += 1
+            elif mh & high:
+                score -= 1
+            ph = ((ph << 1) | 1) & mask
+            mh = (mh << 1) & mask
+            pv = mh | (mask ^ ((xv | ph) & mask))
+            mv = ph & xv
+        return score
+
+    return distance
 
 
-def _shift_candidates(hyp: tuple, ref: tuple):
-    """Spans of hyp that exactly match a contiguous span of ref, paired with
-    every destination position they could move to."""
-    ref_spans = set()
-    for n in range(1, len(ref) + 1):
-        for i in range(len(ref) - n + 1):
-            ref_spans.add(ref[i : i + n])
+def _shift_candidates(hyp: tuple, ref_spans: set):
+    """Every sequence made by moving a block of hyp that is also a span of
+    ref (one of ``ref_spans``) to another position, in ascending
+    (block length, start, dest) order."""
     for length in range(1, len(hyp) + 1):
         for start in range(len(hyp) - length + 1):
             block = hyp[start : start + length]
@@ -135,34 +149,49 @@ def _shift_candidates(hyp: tuple, ref: tuple):
             for dest in range(len(rest) + 1):
                 if dest == start:
                     continue
-                yield length, start, dest, rest[:dest] + block + rest[dest:]
+                yield rest[:dest] + block + rest[dest:]
 
 
 def sentence_ter(hyp: Tokens, ref: Tokens) -> float:
     """(shifts + word edits) / |ref| with a greedy best-improvement shift
-    search; ties broken toward the leftmost-shortest block."""
+    search. Each round takes the shift with the least key (edits after it,
+    block length, start, dest): fewest edits, then the shortest block, the
+    leftmost start and the leftmost destination.
+
+    A shift keeps the token multiset, so no round can leave fewer edits than
+    ``bound = max(|hyp|, |ref|) - |multiset(hyp) & multiset(ref)|``.
+    Candidates come in ascending (length, start, dest) order, so the first
+    one to reach the bound is the round's best. And from ``bound + 1`` edits
+    a shift saves at most the edit it costs, so the search stops there.
+    """
     hyp, ref = _strip(hyp), _strip(ref)
     if not ref:
         raise MetricError("empty reference")
+    m = len(ref)
+    distance = _distance_to(ref)
+    ref_spans = {ref[i:j] for i in range(m) for j in range(i + 1, m + 1)}
+    common = sum((Counter(hyp) & Counter(ref)).values())
+    bound = max(len(hyp), m) - common
+    distances: dict = {}
     shifts = 0
     current = hyp
-    edits = _levenshtein(current, ref)
-    while edits > 0:
-        # (edit distance after shift, block length, start, dest)
-        best = None
-        for length, start, dest, shifted in _shift_candidates(current, ref):
-            d = _levenshtein(shifted, ref)
-            if d >= edits:
-                continue
-            key = (d, length, start, dest)
-            if best is None or key < best[0]:
-                best = (key, shifted)
+    edits = distance(current)
+    while edits > bound + 1:
+        best_d, best = edits, None
+        for shifted in _shift_candidates(current, ref_spans):
+            d = distances.get(shifted)
+            if d is None:
+                d = distances[shifted] = distance(shifted)
+            if d < best_d:
+                best_d, best = d, shifted
+                if d == bound:
+                    break
         if best is None:
             break
         shifts += 1
-        edits = best[0][0]
-        current = best[1]
-    return (shifts + edits) / len(ref)
+        edits = best_d
+        current = best
+    return (shifts + edits) / m
 
 
 # -- sentence NIST --------------------------------------------------------

@@ -18,7 +18,8 @@ are bit-identical to the primitive-built model.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+import os
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -42,6 +43,7 @@ __all__ = [
     "sequence_logprob",
     "save_model",
     "load_model",
+    "check_vocabs",
 ]
 
 PAD = 0
@@ -78,6 +80,20 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        """The config ``to_dict`` wrote. Unknown or missing keys and
+        non-integer values raise ModelError."""
+        if not isinstance(d, dict):
+            raise ModelError("model config must be a JSON object")
+        names = {f.name for f in fields(cls)}
+        required = {f.name for f in fields(cls) if f.default is MISSING}
+        unknown, missing = sorted(d.keys() - names), sorted(required - d.keys())
+        if unknown or missing:
+            raise ModelError(
+                f"model config: unknown keys {unknown}, missing keys {missing}"
+            )
+        not_int = sorted(k for k, v in d.items() if type(v) is not int)
+        if not_int:
+            raise ModelError(f"model config: non-integer values for {not_int}")
         return cls(**d)
 
 
@@ -396,16 +412,83 @@ def sequence_logprob(
 # -- checkpoint + sidecar -------------------------------------------------
 
 
-def save_model(params: ParamStore, cfg: ModelConfig, path: str) -> None:
+# The sidecar is the config's to_dict plus, when the checkpoint was trained
+# from vocab files, the sha256 of each vocab's token list under these keys.
+VOCAB_KEYS = ("src_vocab_sha256", "tgt_vocab_sha256")
+
+Vocabs = tuple[Sequence[str], Sequence[str]]  # (source, target) token lists
+
+
+def _vocab_hashes(vocabs: Vocabs) -> dict[str, str]:
+    # Imported here: hashlib loads OpenSSL (about 3 ms and 4 MB RSS), which
+    # only checkpoints that record vocabs need.
+    import hashlib
+
+    return {
+        key: hashlib.sha256("\n".join(tokens).encode("utf-8")).hexdigest()
+        for key, tokens in zip(VOCAB_KEYS, vocabs)
+    }
+
+
+def save_model(
+    params: ParamStore, cfg: ModelConfig, path: str, vocabs: Vocabs | None = None
+) -> None:
+    """Checkpoint plus sidecar; ``vocabs`` (source, target token lists)
+    records their hashes, so later loads can refuse other vocabs."""
+    sidecar = cfg.to_dict()
+    if vocabs is not None:
+        sidecar.update(_vocab_hashes(vocabs))
     params.save(path)
     with atomic_writer(path + ".json") as fh:
-        fh.write((json.dumps(cfg.to_dict(), indent=2) + "\n").encode("utf-8"))
+        fh.write((json.dumps(sidecar, indent=2) + "\n").encode("utf-8"))
 
 
-def load_model(path: str) -> tuple[ParamStore, ModelConfig]:
-    """Checkpoint and sidecar config; raises ModelError if they disagree."""
-    params = ParamStore.load(path)
+def _read_sidecar(path: str) -> tuple[ModelConfig, dict[str, str]]:
+    """The sidecar's config and the vocab hashes it records, if any."""
     with open(path + ".json", "r", encoding="utf-8") as fh:
-        cfg = ModelConfig.from_dict(json.load(fh))
+        d = json.load(fh)
+    if not isinstance(d, dict):
+        raise ModelError(f"{path}.json: expected a JSON object")
+    recorded = {key: d.pop(key) for key in VOCAB_KEYS if key in d}
+    if not all(isinstance(v, str) for v in recorded.values()):
+        raise ModelError(f"{path}.json: vocab hashes must be strings")
+    return ModelConfig.from_dict(d), recorded
+
+
+def _check_hashes(recorded: dict[str, str], vocabs: Vocabs) -> None:
+    if not recorded:
+        return
+    given = _vocab_hashes(vocabs)
+    for key, side in zip(VOCAB_KEYS, ("source", "target")):
+        if key in recorded and recorded[key] != given[key]:
+            raise ModelError(
+                f"{side} vocab is not the one the checkpoint was trained "
+                f"with: its token list has another sha256"
+            )
+
+
+def load_model(path: str, vocabs: Vocabs | None = None) -> tuple[ParamStore, ModelConfig]:
+    """Checkpoint and sidecar config; raises ModelError if they disagree,
+    or if ``vocabs`` (source, target token lists) do not fit the checkpoint:
+    other sizes, or other token lists where the sidecar records hashes."""
+    params = ParamStore.load(path)
+    cfg, recorded = _read_sidecar(path)
     check_params(params, cfg)
+    if vocabs is not None:
+        sizes = tuple(len(tokens) for tokens in vocabs)
+        want = (cfg.src_vocab_size, cfg.tgt_vocab_size)
+        if sizes != want:
+            raise ModelError(
+                f"vocab sizes {sizes[0]}/{sizes[1]} (source/target) do "
+                f"not match the checkpoint's {want[0]}/{want[1]}"
+            )
+        _check_hashes(recorded, vocabs)
     return params, cfg
+
+
+def check_vocabs(path: str, vocabs: Vocabs) -> None:
+    """Raise ModelError if the sidecar of the checkpoint at ``path`` records
+    vocab hashes other than those of ``vocabs``. A checkpoint without a
+    sidecar, or a sidecar without hashes, passes."""
+    if os.path.exists(path + ".json"):
+        _check_hashes(_read_sidecar(path)[1], vocabs)

@@ -300,6 +300,76 @@ class TestInitCheckpointMismatch:
         assert not os.path.exists("out.ckpt")
 
 
+class TestSidecar:
+    """The config sidecar next to a checkpoint, and the vocab hashes that
+    ``train`` records in it."""
+
+    def _load(self, capsys, command, tgt_vocab="task/vocab.txt"):
+        io = (["--output", "hyp.txt"] if command == "decode"
+              else ["--gold", "task/valid.tgt"])
+        return run(
+            capsys, command, "--checkpoint", "model.ckpt",
+            "--input", "task/valid.src", *io,
+            "--src-vocab", "task/vocab.txt", "--tgt-vocab", tgt_vocab,
+            "--quiet",
+        )
+
+    def _edit_sidecar(self, workdir, edit):
+        path = workdir / "model.ckpt.json"
+        sidecar = json.loads(path.read_text())
+        edit(sidecar)
+        path.write_text(json.dumps(sidecar))
+
+    def _reordered_vocab(self):
+        tokens = Vocab.load("task/vocab.txt").tokens
+        Vocab(tokens[:4] + tokens[:3:-1]).save("reordered.txt")
+        return "reordered.txt"
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [({"extra": 1}, "unknown keys ['extra']"),
+         ({"hidden_dim": "4"}, "non-integer values for ['hidden_dim']")],
+    )
+    def test_malformed_sidecar_is_data_error(self, trained, workdir, capsys,
+                                             change, message):
+        self._edit_sidecar(workdir, lambda d: d.update(change))
+        code, out, err = self._load(capsys, "decode")
+        assert code == 2
+        assert message in err
+        assert not out and not os.path.exists("hyp.txt")
+
+    @pytest.mark.parametrize("command", ["decode", "sample"])
+    def test_reordered_vocab_is_data_error(self, trained, workdir, capsys,
+                                           command):
+        code, out, err = self._load(capsys, command, self._reordered_vocab())
+        assert code == 2
+        assert "target vocab is not the one the checkpoint was trained with" in err
+        assert not out and not os.path.exists("hyp.txt")
+
+    def test_reordered_vocab_rejects_init_checkpoint(self, trained, workdir,
+                                                     capsys):
+        code, out, err = run(
+            capsys, "train", "--quiet",
+            "--train-src", "task/train.src", "--train-tgt", "task/train.tgt",
+            "--src-vocab", "task/vocab.txt",
+            "--tgt-vocab", self._reordered_vocab(),
+            "--embed-dim", "4", "--hidden-dim", "6", "--attention-dim", "4",
+            "--max-len", "6", "--batch-size", "4", "--max-updates", "1",
+            "--init-checkpoint", "model.ckpt", "--checkpoint-out", "out.ckpt",
+        )
+        assert code == 2
+        assert "target vocab is not the one" in err
+        assert not os.path.exists("out.ckpt")
+
+    def test_sidecar_without_vocab_hashes_loads(self, trained, workdir, capsys):
+        def drop_hashes(sidecar):
+            assert sidecar.pop("src_vocab_sha256") and sidecar.pop("tgt_vocab_sha256")
+
+        self._edit_sidecar(workdir, drop_hashes)
+        assert self._load(capsys, "decode")[0] == 0
+        assert os.path.exists("hyp.txt")
+
+
 class TestSampleAndOracle:
     def test_sample_output_format(self, trained, capsys):
         code, out, _ = run(

@@ -20,6 +20,79 @@ from riskseq.model import BOS, EOS, PAD
 
 words = st.lists(st.sampled_from("a b c d e".split()), min_size=1, max_size=8)
 token_ids = st.lists(st.integers(4, 12), min_size=1, max_size=10)
+sentence_words = st.sampled_from("the a cat dog sat on mat".split())
+
+
+# -- reference TER: the plain DP and the exhaustive shift search ------------
+
+
+def reference_levenshtein(a: tuple, b: tuple) -> int:
+    if len(a) < len(b):
+        a, b = b, a
+    prev = list(range(len(b) + 1))
+    for i, tok in enumerate(a, start=1):
+        cur = [i]
+        for j, ref_tok in enumerate(b, start=1):
+            cur.append(
+                min(
+                    prev[j] + 1,
+                    cur[j - 1] + 1,
+                    prev[j - 1] + (tok != ref_tok),
+                )
+            )
+        prev = cur
+    return prev[-1]
+
+
+def reference_shift_candidates(hyp: tuple, ref: tuple):
+    ref_spans = set()
+    for n in range(1, len(ref) + 1):
+        for i in range(len(ref) - n + 1):
+            ref_spans.add(ref[i : i + n])
+    for length in range(1, len(hyp) + 1):
+        for start in range(len(hyp) - length + 1):
+            block = hyp[start : start + length]
+            if block not in ref_spans:
+                continue
+            rest = hyp[:start] + hyp[start + length :]
+            for dest in range(len(rest) + 1):
+                if dest == start:
+                    continue
+                yield length, start, dest, rest[:dest] + block + rest[dest:]
+
+
+def reference_ter(hyp, ref) -> float:
+    """Greedy best-improvement shift search that scores every candidate
+    with the DP and keeps the smallest (edits, length, start, dest)."""
+    hyp = tuple(t for t in hyp if t not in (PAD, EOS, BOS))
+    ref = tuple(t for t in ref if t not in (PAD, EOS, BOS))
+    shifts = 0
+    current = hyp
+    edits = reference_levenshtein(current, ref)
+    while edits > 0:
+        best = None
+        for length, start, dest, shifted in reference_shift_candidates(current, ref):
+            d = reference_levenshtein(shifted, ref)
+            if d >= edits:
+                continue
+            key = (d, length, start, dest)
+            if best is None or key < best[0]:
+                best = (key, shifted)
+        if best is None:
+            break
+        shifts += 1
+        edits = best[0][0]
+        current = best[1]
+    return (shifts + edits) / len(ref)
+
+
+@st.composite
+def small_vocab_pairs(draw):
+    """(hyp, ref) over 4-9 content ids, so tokens repeat often."""
+    ids = st.integers(4, 3 + draw(st.integers(4, 9)))
+    hyp = draw(st.lists(ids, min_size=0, max_size=12))
+    ref = draw(st.lists(ids, min_size=1, max_size=12))
+    return hyp, ref
 
 
 class TestLossKind:
@@ -121,9 +194,33 @@ class TestSentenceTer:
     @given(hyp=words, ref=words)
     @settings(max_examples=40, deadline=None)
     def test_never_worse_than_plain_edit_distance(self, hyp, ref):
-        from riskseq.metrics import _levenshtein
+        bound = reference_levenshtein(tuple(hyp), tuple(ref)) / len(ref)
+        assert sentence_ter(hyp, ref) <= bound
 
-        assert sentence_ter(hyp, ref) <= _levenshtein(tuple(hyp), tuple(ref)) / len(ref)
+    @given(pair=small_vocab_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_reference_on_small_vocab_ids(self, pair):
+        hyp, ref = pair
+        assert sentence_ter(hyp, ref) == reference_ter(hyp, ref)
+
+    @given(
+        hyp=st.lists(sentence_words, max_size=10),
+        ref=st.lists(sentence_words, min_size=1, max_size=10),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_reference_on_words(self, hyp, ref):
+        assert sentence_ter(hyp, ref) == reference_ter(hyp, ref)
+
+    @given(
+        hyp=st.lists(st.integers(4, 9), min_size=0, max_size=90),
+        ref=st.lists(st.integers(4, 9), min_size=65, max_size=80),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_edit_distance_equals_dp_past_one_machine_word(self, hyp, ref):
+        from riskseq.metrics import _distance_to
+
+        hyp, ref = tuple(hyp), tuple(ref)
+        assert _distance_to(ref)(hyp) == reference_levenshtein(hyp, ref)
 
 
 class TestNist:

@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -108,6 +109,18 @@ class TestConfig:
     def test_dict_roundtrip(self):
         cfg = tiny_config()
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [({"src_vocab_size": None}, "missing keys ['src_vocab_size']"),
+         ({"max_len": True}, "non-integer values for ['max_len']"),
+         ({"embed_dim": 2.0}, "non-integer values for ['embed_dim']")],
+    )
+    def test_from_dict_rejects_missing_keys_and_non_integers(self, change, message):
+        d = {k: v for k, v in {**tiny_config().to_dict(), **change}.items()
+             if v is not None}
+        with pytest.raises(ModelError, match=re.escape(message)):
+            ModelConfig.from_dict(d)
 
 
 class TestInit:
