@@ -102,7 +102,7 @@ def cmd_gen_synthetic(args) -> int:
         args.vocab_size,
         args.n_sentences,
         (args.len_min, args.len_max),
-        args.seed if args.seed is not None else 0,
+        args.seed,
     )
     vocab = data.synthetic_vocab(args.vocab_size)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -256,11 +256,10 @@ def cmd_sample(args) -> int:
         info = metrics.build_info_table(
             [tuple(tgt_vocab.encode(g)) for g in golds]
         )
-    seed = args.seed if args.seed is not None else 0
     for i, (src_words, gold_words) in enumerate(zip(srcs, golds)):
         src = src_vocab.encode(src_words)
         gold = tgt_vocab.encode(gold_words) + [EOS]
-        rng = np.random.default_rng([seed, i])
+        rng = np.random.default_rng([args.seed, i])
         space = mrt.sample_space(params, src, gold, args.k, model_cfg.max_len, rng)
         q = mrt.q_distribution(space, args.alpha)
         for cand, lp, w in zip(space.candidates, space.logprobs, q.weights):
@@ -271,7 +270,9 @@ def cmd_sample(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    seed = args.seed if args.seed is not None else 0
+    seed = args.seed
+    if args.vocab < 5:
+        raise DataError(f"--vocab must be >= 5 (one content token), got {args.vocab}")
     kind = LossKind.parse(args.loss)
     model_cfg = ModelConfig(
         src_vocab_size=args.vocab,
@@ -372,13 +373,10 @@ def cmd_k_sweep(args) -> int:
 # -- argument wiring ------------------------------------------------------
 
 
-def _add_global_flags(p: argparse.ArgumentParser) -> None:
+def _add_train_io_flags(p: argparse.ArgumentParser) -> None:
+    """The flags train, alpha-sweep and k-sweep share, --config among them."""
     p.add_argument("--config", help="JSON run config (flags override it)")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--quiet", action="store_true")
-
-
-def _add_train_io_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--train-src", required=True)
     p.add_argument("--train-tgt", required=True)
     p.add_argument("--valid-src")
@@ -407,33 +405,36 @@ def _add_train_io_flags(p: argparse.ArgumentParser) -> None:
 def build_parser() -> _Parser:
     parser = _Parser(prog="riskseq", description=__doc__)
     sub = parser.add_subparsers(dest="command")
+    # every subcommand takes --quiet; each takes --seed or --config only if
+    # it reads them
+    quiet = argparse.ArgumentParser(add_help=False)
+    quiet.add_argument("--quiet", action="store_true")
 
-    p = sub.add_parser("gen-synthetic", parents=[], help="generate a synthetic task")
-    _add_global_flags(p)
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[quiet], help=help)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("gen-synthetic", cmd_gen_synthetic, "generate a synthetic task")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--task", required=True, choices=data.SYNTHETIC_TASKS)
     p.add_argument("--vocab-size", type=int, required=True)
     p.add_argument("--n-sentences", type=int, required=True)
     p.add_argument("--len-min", type=int, default=3)
     p.add_argument("--len-max", type=int, default=6)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_gen_synthetic)
 
-    p = sub.add_parser("build-vocab", help="build a vocabulary from text")
-    _add_global_flags(p)
+    p = command("build-vocab", cmd_build_vocab, "build a vocabulary from text")
     p.add_argument("--input", nargs="+", required=True)
     p.add_argument("--max-size", type=int, required=True)
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_build_vocab)
 
-    p = sub.add_parser("train", help="train with MLE or MRT")
-    _add_global_flags(p)
+    p = command("train", cmd_train, "train with MLE or MRT")
     _add_train_io_flags(p)
     p.add_argument("--checkpoint-out", required=True)
     p.add_argument("--curve-out")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("decode", help="translate with beam search")
-    _add_global_flags(p)
+    p = command("decode", cmd_decode, "translate with beam search")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
@@ -441,16 +442,13 @@ def build_parser() -> _Parser:
     p.add_argument("--max-len", dest="max_len", type=int, default=None)
     p.add_argument("--src-vocab", required=True)
     p.add_argument("--tgt-vocab", required=True)
-    p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("evaluate", help="score hypotheses against references")
-    _add_global_flags(p)
+    p = command("evaluate", cmd_evaluate, "score hypotheses against references")
     p.add_argument("--hyp", required=True)
     p.add_argument("--ref", required=True)
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("sample", help="dump a sampled candidate space")
-    _add_global_flags(p)
+    p = command("sample", cmd_sample, "dump a sampled candidate space")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--src-vocab", required=True)
     p.add_argument("--tgt-vocab", required=True)
@@ -459,30 +457,24 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=mrt.DEFAULT_K)
     p.add_argument("--alpha", type=float, default=mrt.DEFAULT_ALPHA)
     p.add_argument("--loss", default=LossKind.NEG_SMOOTHED_BLEU.value)
-    p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("oracle", help="exact vs sampled risk on a toy model")
-    _add_global_flags(p)
+    p = command("oracle", cmd_oracle, "exact vs sampled risk on a toy model")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--vocab", type=int, required=True)
     p.add_argument("--max-len", dest="max_len", type=int, required=True)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--loss", default=LossKind.NEG_SMOOTHED_BLEU.value)
     p.add_argument("--ks", type=int, nargs="+", default=[10, 100, 1000])
     p.add_argument("--n-seeds", dest="n_seeds", type=int, default=20)
-    p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("alpha-sweep", help="MRT runs across alpha values")
-    _add_global_flags(p)
+    p = command("alpha-sweep", cmd_alpha_sweep, "MRT runs across alpha values")
     _add_train_io_flags(p)
     p.add_argument("--alphas", type=float, nargs="+", required=True)
-    p.set_defaults(func=cmd_alpha_sweep)
 
-    p = sub.add_parser("k-sweep", help="MRT runs across sample sizes")
-    _add_global_flags(p)
+    p = command("k-sweep", cmd_k_sweep, "MRT runs across sample sizes")
     _add_train_io_flags(p)
     p.add_argument("--ks", type=int, nargs="+", required=True)
     p.add_argument("--n-seeds", dest="n_seeds", type=int, default=50)
-    p.set_defaults(func=cmd_k_sweep)
 
     return parser
 
@@ -499,6 +491,8 @@ def main(argv=None) -> int:
             stream=sys.stderr,
             format="%(levelname)s %(name)s: %(message)s",
         )
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise DataError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -192,6 +192,8 @@ def gen_synthetic(
     lo, hi = len_range
     if lo < 1 or hi < lo:
         raise DataError(f"bad length range {len_range}")
+    if n_sentences < 1:
+        raise DataError(f"n_sentences must be >= 1, got {n_sentences}")
     if n_valid is None:
         n_valid = max(20, n_sentences // 10)
     if n_test is None:

@@ -303,9 +303,6 @@ class ParamStore:
     def __getitem__(self, name: str) -> np.ndarray:
         return self._tensors[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
-
     def names(self) -> list[str]:
         return list(self._tensors)
 

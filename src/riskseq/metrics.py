@@ -3,7 +3,10 @@
 Losses are oriented so that lower is better: negative smoothed sentence
 BLEU, sentence TER, negative sentence NIST. Corpus BLEU follows
 multi-bleu.perl semantics (unsmoothed, clipped 4-gram precisions, closest
-reference length, reported x100).
+reference length, reported x100). Sentence and corpus BLEU and NIST take
+their clipped n-gram counts from one helper, and sentence NIST is the
+corpus NIST of a one-pair corpus, so a loss and the score that reports it
+cannot drift apart.
 
 All scorers work on sequences of hashable tokens. Reserved integer token
 ids (PAD/EOS/BOS) are stripped on entry so model output can be scored
@@ -68,6 +71,15 @@ def _ngrams(tokens: tuple, n: int) -> Counter:
     return Counter(tokens[i : i + n] for i in range(len(tokens) - n + 1))
 
 
+def _clipped(hyp: tuple, refs: Sequence[tuple], n: int) -> Counter:
+    """hyp's n-grams in hyp's order, each count clipped to the largest
+    count any of ``refs`` gives it; n-grams no reference has are absent."""
+    ref_max = _ngrams(refs[0], n)
+    for ref in refs[1:]:
+        ref_max |= _ngrams(ref, n)
+    return _ngrams(hyp, n) & ref_max
+
+
 # -- sentence BLEU --------------------------------------------------------
 
 
@@ -83,9 +95,7 @@ def sentence_bleu_smoothed(hyp: Tokens, ref: Tokens) -> float:
         return 0.0
     log_sum = 0.0
     for n in range(1, MAX_NGRAM + 1):
-        hyp_counts = _ngrams(hyp, n)
-        ref_counts = _ngrams(ref, n)
-        matched = sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
+        matched = sum(_clipped(hyp, (ref,), n).values())
         total = max(0, len(hyp) - n + 1)
         if n == 1:
             if matched == 0:
@@ -225,22 +235,11 @@ def _nist_brevity(hyp_len: int, ref_len: int) -> float:
 
 
 def sentence_nist(hyp: Tokens, ref: Tokens, info: InfoTable) -> float:
-    hyp, ref = _strip(hyp), _strip(ref)
+    """``corpus_nist`` of the one pair (hyp, ref)."""
+    ref = _strip(ref)
     if not ref:
         raise MetricError("empty reference")
-    if not hyp:
-        return 0.0
-    score = 0.0
-    for n in range(1, MAX_NGRAM + 1):
-        hyp_counts = _ngrams(hyp, n)
-        ref_counts = _ngrams(ref, n)
-        gained = sum(
-            min(c, ref_counts[g]) * info.get(g, 0.0)
-            for g, c in hyp_counts.items()
-            if g in ref_counts
-        )
-        score += gained / max(1, len(hyp) - n + 1)
-    return score * _nist_brevity(len(hyp), len(ref))
+    return corpus_nist([hyp], [[ref]], info)
 
 
 # -- the loss dispatcher --------------------------------------------------
@@ -287,13 +286,7 @@ def corpus_bleu(
         closest = min(ref_set, key=lambda r: (abs(len(r) - len(hyp)), len(r)))
         ref_len += len(closest)
         for n in range(1, MAX_NGRAM + 1):
-            hyp_counts = _ngrams(hyp, n)
-            max_ref: Counter = Counter()
-            for ref in ref_set:
-                for g, c in _ngrams(ref, n).items():
-                    if c > max_ref[g]:
-                        max_ref[g] = c
-            matched[n - 1] += sum(min(c, max_ref[g]) for g, c in hyp_counts.items())
+            matched[n - 1] += sum(_clipped(hyp, ref_set, n).values())
             totals[n - 1] += max(0, len(hyp) - n + 1)
     if hyp_len == 0 or any(m == 0 for m in matched) or any(t == 0 for t in totals):
         return 0.0
@@ -347,13 +340,8 @@ def corpus_nist(
         hyp_len += len(hyp)
         ref_len += len(ref)
         for n in range(1, MAX_NGRAM + 1):
-            hyp_counts = _ngrams(hyp, n)
-            ref_counts = _ngrams(ref, n)
-            gained[n - 1] += sum(
-                min(c, ref_counts[g]) * info.get(g, 0.0)
-                for g, c in hyp_counts.items()
-                if g in ref_counts
-            )
+            clipped = _clipped(hyp, (ref,), n)
+            gained[n - 1] += sum(c * info.get(g, 0.0) for g, c in clipped.items())
             totals[n - 1] += max(0, len(hyp) - n + 1)
     if hyp_len == 0 or ref_len == 0:
         return 0.0

@@ -69,6 +69,9 @@ class ModelConfig:
     max_len: int = 20
 
     def __post_init__(self):
+        not_int = sorted(k for k, v in asdict(self).items() if type(v) is not int)
+        if not_int:
+            raise ModelError(f"model config: non-integer values for {not_int}")
         if self.src_vocab_size < 4 or self.tgt_vocab_size < 4:
             raise ModelError("vocab sizes must be at least 4 (reserved tokens)")
         for field in ("embed_dim", "hidden_dim", "attention_dim", "max_len"):
@@ -80,8 +83,8 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        """The config ``to_dict`` wrote. Unknown or missing keys and
-        non-integer values raise ModelError."""
+        """The config ``to_dict`` wrote. Unknown or missing keys, and (in
+        ``__post_init__``) non-integer values, raise ModelError."""
         if not isinstance(d, dict):
             raise ModelError("model config must be a JSON object")
         names = {f.name for f in fields(cls)}
@@ -91,9 +94,6 @@ class ModelConfig:
             raise ModelError(
                 f"model config: unknown keys {unknown}, missing keys {missing}"
             )
-        not_int = sorted(k for k, v in d.items() if type(v) is not int)
-        if not_int:
-            raise ModelError(f"model config: non-integer values for {not_int}")
         return cls(**d)
 
 

@@ -32,7 +32,6 @@ __all__ = [
     "q_distribution",
     "expected_risk",
     "mrt_grad",
-    "mrt_grad_via_q",
     "mle_loss_and_grad",
     "DEFAULT_ALPHA",
     "DEFAULT_K",
@@ -225,27 +224,6 @@ def mrt_grad(
         terms.append(tape.scale(total, coeffs[i]))
     seed = tape.sum(tape.stack_rows(terms))
     return tape.gradient(seed, params, bound.pn)
-
-
-def mrt_grad_via_q(
-    params: ParamStore,
-    src: Sequence[int],
-    space: SampledSpace,
-    losses: Sequence[float],
-    alpha: float,
-) -> np.ndarray:
-    """Same gradient computed symbolically through the log-space Q
-    normalization (softmax over alpha-scaled candidate log-probs). Used to
-    cross-check the baseline-subtraction form."""
-    losses = np.asarray(losses, dtype=np.float64)
-    tape = Tape()
-    bound = BoundModel(params, tape)
-    ann = bound.encode(src)
-    totals = [bound.sequence_logprob_nodes(ann, cand) for cand in space.candidates]
-    scaled = tape.scale(tape.stack_rows(totals), alpha)
-    weights = tape.softmax(scaled)
-    risk = tape.matmul(weights, tape.const(losses))
-    return tape.gradient(risk, params, bound.pn)
 
 
 def mle_loss_and_grad(

@@ -25,7 +25,6 @@ __all__ = [
     "FullSpace",
     "enumerate_space",
     "exact_risk_over",
-    "exact_risk",
     "exact_grad_check",
     "ENUMERATION_BUDGET",
 ]
@@ -133,16 +132,6 @@ def space_losses(
     )
 
 
-def exact_risk(
-    space: FullSpace,
-    gold: Sequence[int],
-    kind: metrics.LossKind,
-    alpha: float,
-    info=None,
-) -> float:
-    return exact_risk_over(space, space_losses(space.sequences, gold, kind, info), alpha)
-
-
 def exact_grad_check(
     params: ParamStore,
     src: Sequence[int],
@@ -217,6 +206,8 @@ def sampled_risk_spread(
 ) -> tuple[float, float]:
     """(mean, standard deviation) of the sampled expected risk across
     independent sampling seeds at a fixed checkpoint."""
+    if n_seeds < 1:
+        raise OracleError(f"n_seeds must be >= 1, got {n_seeds}")
     estimates = np.array(
         [
             sampled_risk(

@@ -65,12 +65,30 @@ class TrainConfig:
             raise TrainError(f"unknown criterion: {self.criterion!r}")
         if isinstance(self.loss_kind, str):
             self.loss_kind = LossKind.parse(self.loss_kind)
+        elif not isinstance(self.loss_kind, LossKind):
+            raise TrainError(f"loss_kind must be a name, got {self.loss_kind!r}")
+        for name in ("batch_size", "max_updates", "eval_every", "k", "seed", "workers"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise TrainError(f"{name} must be an integer, got {value!r}")
+        for name in ("learning_rate", "grad_clip_norm", "alpha"):
+            value = getattr(self, name)
+            if name == "learning_rate" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise TrainError(f"{name} must be a number, got {value!r}")
+        if not isinstance(self.init_checkpoint, (str, type(None))):
+            raise TrainError(f"init_checkpoint must be a path, got {self.init_checkpoint!r}")
+        if type(self.allow_random_init) is not bool:
+            raise TrainError(
+                f"allow_random_init must be true or false, got {self.allow_random_init!r}"
+            )
         for name in ("batch_size", "k"):
             if getattr(self, name) < 1:
                 raise TrainError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.workers != 1:
             raise TrainError(f"workers must be 1, got {self.workers}")
-        for name in ("max_updates", "eval_every"):
+        for name in ("max_updates", "eval_every", "seed"):
             if getattr(self, name) < 0:
                 raise TrainError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not self.alpha > 0:

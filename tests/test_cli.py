@@ -49,6 +49,20 @@ def trained(task_dir, capsys):
     return task_dir
 
 
+# every subcommand that reads no --config, with its required flags
+UNCONFIGURED = {
+    "gen-synthetic": ["gen-synthetic", "--task", "copy", "--vocab-size", "8",
+                      "--n-sentences", "30", "--out-dir", "t"],
+    "build-vocab": ["build-vocab", "--input", "t", "--max-size", "6", "--output", "v"],
+    "decode": ["decode", "--checkpoint", "m", "--input", "i", "--output", "o",
+               "--src-vocab", "v", "--tgt-vocab", "v"],
+    "evaluate": ["evaluate", "--hyp", "h", "--ref", "r"],
+    "sample": ["sample", "--checkpoint", "m", "--src-vocab", "v", "--tgt-vocab", "v",
+               "--input", "i", "--gold", "g"],
+    "oracle": ["oracle", "--vocab", "6", "--max-len", "3"],
+}
+
+
 class TestExitCodes:
     def test_no_command_is_usage_error(self, capsys):
         assert run(capsys, )[0] == 1
@@ -75,6 +89,97 @@ class TestExitCodes:
     )
     def test_removed_flags_are_usage_errors(self, capsys, argv):
         assert run(capsys, *argv)[0] == 1
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(command, "--config") for command in UNCONFIGURED]
+        + [(command, "--seed") for command in ("build-vocab", "decode", "evaluate")],
+    )
+    def test_flags_a_command_does_not_read_are_usage_errors(self, capsys, workdir,
+                                                            command, flag):
+        value = "missing.json" if flag == "--config" else "5"
+        code, out, err = run(capsys, *UNCONFIGURED[command], flag, value, "--quiet")
+        assert code == 1
+        assert f"unrecognized arguments: {flag} {value}" in err
+        assert not out
+
+
+def _one_line_data_error(code, out, err):
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out
+
+
+class TestBadRunSettings:
+    """Malformed settings are data errors (exit 2), found before any work."""
+
+    @pytest.mark.parametrize(
+        "setting",
+        [{"batch_size": "8"}, {"learning_rate": "0.5"}, {"eval_every": None},
+         {"embed_dim": 2.5}, {"seed": "a"}, {"loss_kind": 5}, {"k": 2.0},
+         {"max_updates": True}, {"init_checkpoint": 5},
+         {"allow_random_init": "no"}],
+        ids=lambda setting: next(iter(setting)),
+    )
+    def test_config_value_of_the_wrong_type(self, task_dir, workdir, capsys,
+                                            setting):
+        (workdir / "cfg.json").write_text(json.dumps(setting))
+        code, out, err = run(
+            capsys, "train", "--config", "cfg.json", "--quiet",
+            "--train-src", "task/train.src", "--train-tgt", "task/train.tgt",
+            "--src-vocab", "task/vocab.txt", "--tgt-vocab", "task/vocab.txt",
+            "--checkpoint-out", "m.ckpt",
+        )
+        _one_line_data_error(code, out, err)
+        assert next(iter(setting)) in err
+        assert not os.path.exists("m.ckpt")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["train", "--seed", "-1", "--train-src", "task/train.src",
+              "--train-tgt", "task/train.tgt", "--src-vocab", "task/vocab.txt",
+              "--tgt-vocab", "task/vocab.txt", "--checkpoint-out", "m.ckpt"],
+             "--seed must be >= 0"),
+            (["gen-synthetic", "--seed", "-3", "--task", "copy",
+              "--vocab-size", "8", "--n-sentences", "30", "--out-dir", "t"],
+             "--seed must be >= 0"),
+            (["gen-synthetic", "--task", "copy", "--vocab-size", "8",
+              "--n-sentences", "0", "--out-dir", "t"],
+             "n_sentences must be >= 1"),
+            (["oracle", "--vocab", "4", "--max-len", "3"], "--vocab must be >= 5"),
+        ],
+        ids=["train-seed", "gen-seed", "gen-n-sentences", "oracle-vocab"],
+    )
+    def test_out_of_range_flag(self, task_dir, capsys, argv, message):
+        code, out, err = run(capsys, *argv, "--quiet")
+        _one_line_data_error(code, out, err)
+        assert message in err
+        assert not os.path.exists("m.ckpt") and not os.path.exists("t")
+
+    def test_oracle_without_seeds(self, workdir, capsys):
+        code, out, err = run(
+            capsys, "oracle", "--vocab", "6", "--max-len", "3", "--ks", "2",
+            "--n-seeds", "0", "--quiet",
+        )
+        assert code == 2
+        assert err == "error: n_seeds must be >= 1, got 0\n"
+        assert "nan" not in out
+
+    def test_k_sweep_without_seeds(self, trained, capsys):
+        code, out, err = run(
+            capsys, "k-sweep", "--quiet",
+            "--train-src", "task/train.src", "--train-tgt", "task/train.tgt",
+            "--valid-src", "task/valid.src", "--valid-tgt", "task/valid.tgt",
+            "--src-vocab", "task/vocab.txt", "--tgt-vocab", "task/vocab.txt",
+            "--embed-dim", "4", "--hidden-dim", "6", "--attention-dim", "4",
+            "--max-len", "6", "--max-updates", "2", "--eval-every", "2",
+            "--init-checkpoint", "model.ckpt", "--ks", "2", "--n-seeds", "0",
+        )
+        assert code == 2
+        assert err == "error: n_seeds must be >= 1, got 0\n"
+        assert "nan" not in out
 
 
 class TestGenSynthetic:

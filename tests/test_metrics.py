@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -84,6 +85,154 @@ def reference_ter(hyp, ref) -> float:
         edits = best[0][0]
         current = best[1]
     return (shifts + edits) / len(ref)
+
+
+# -- reference BLEU and NIST: one clipped-count loop per function ------------
+
+
+def _reference_strip(tokens) -> tuple:
+    return tuple(t for t in tokens if t not in (PAD, EOS, BOS))
+
+
+def _reference_ngrams(tokens: tuple, n: int) -> Counter:
+    return Counter(tokens[i : i + n] for i in range(len(tokens) - n + 1))
+
+
+def _reference_nist_brevity(hyp_len: int, ref_len: int) -> float:
+    beta = math.log(0.5) / math.log(2.0 / 3.0) ** 2
+    ratio = min(1.0, hyp_len / ref_len)
+    return math.exp(beta * math.log(ratio) ** 2)
+
+
+def reference_sentence_bleu(hyp, ref) -> float:
+    hyp, ref = _reference_strip(hyp), _reference_strip(ref)
+    if not ref:
+        raise MetricError("empty reference")
+    if not hyp:
+        return 0.0
+    log_sum = 0.0
+    for n in range(1, 5):
+        hyp_counts = _reference_ngrams(hyp, n)
+        ref_counts = _reference_ngrams(ref, n)
+        matched = sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
+        total = max(0, len(hyp) - n + 1)
+        if n == 1:
+            if matched == 0:
+                return 0.0
+            precision = matched / total
+        else:
+            precision = (matched + 1) / (total + 1)
+        log_sum += math.log(precision)
+    bp = math.exp(min(0.0, 1.0 - len(ref) / len(hyp)))
+    return bp * math.exp(log_sum / 4)
+
+
+def reference_sentence_nist(hyp, ref, info) -> float:
+    hyp, ref = _reference_strip(hyp), _reference_strip(ref)
+    if not ref:
+        raise MetricError("empty reference")
+    if not hyp:
+        return 0.0
+    score = 0.0
+    for n in range(1, 5):
+        hyp_counts = _reference_ngrams(hyp, n)
+        ref_counts = _reference_ngrams(ref, n)
+        gained = sum(
+            min(c, ref_counts[g]) * info.get(g, 0.0)
+            for g, c in hyp_counts.items()
+            if g in ref_counts
+        )
+        score += gained / max(1, len(hyp) - n + 1)
+    return score * _reference_nist_brevity(len(hyp), len(ref))
+
+
+def reference_corpus_bleu(hyps, refs) -> float:
+    if len(hyps) != len(refs):
+        raise MetricError(
+            f"hypothesis/reference count mismatch: {len(hyps)} vs {len(refs)}"
+        )
+    matched = [0] * 4
+    totals = [0] * 4
+    hyp_len = 0
+    ref_len = 0
+    for hyp, ref_set in zip(hyps, refs):
+        if not ref_set:
+            raise MetricError("sentence without references")
+        hyp = _reference_strip(hyp)
+        ref_set = [_reference_strip(r) for r in ref_set]
+        hyp_len += len(hyp)
+        closest = min(ref_set, key=lambda r: (abs(len(r) - len(hyp)), len(r)))
+        ref_len += len(closest)
+        for n in range(1, 5):
+            hyp_counts = _reference_ngrams(hyp, n)
+            max_ref: Counter = Counter()
+            for ref in ref_set:
+                for g, c in _reference_ngrams(ref, n).items():
+                    if c > max_ref[g]:
+                        max_ref[g] = c
+            matched[n - 1] += sum(min(c, max_ref[g]) for g, c in hyp_counts.items())
+            totals[n - 1] += max(0, len(hyp) - n + 1)
+    if hyp_len == 0 or any(m == 0 for m in matched) or any(t == 0 for t in totals):
+        return 0.0
+    log_prec = sum(math.log(m / t) for m, t in zip(matched, totals)) / 4
+    bp = math.exp(min(0.0, 1.0 - ref_len / hyp_len))
+    return 100.0 * bp * math.exp(log_prec)
+
+
+def reference_corpus_nist(hyps, refs, info) -> float:
+    if len(hyps) != len(refs):
+        raise MetricError(
+            f"hypothesis/reference count mismatch: {len(hyps)} vs {len(refs)}"
+        )
+    gained = [0.0] * 4
+    totals = [0] * 4
+    hyp_len = 0
+    ref_len = 0
+    for hyp, ref_set in zip(hyps, refs):
+        hyp = _reference_strip(hyp)
+        ref = _reference_strip(ref_set[0])
+        hyp_len += len(hyp)
+        ref_len += len(ref)
+        for n in range(1, 5):
+            hyp_counts = _reference_ngrams(hyp, n)
+            ref_counts = _reference_ngrams(ref, n)
+            gained[n - 1] += sum(
+                min(c, ref_counts[g]) * info.get(g, 0.0)
+                for g, c in hyp_counts.items()
+                if g in ref_counts
+            )
+            totals[n - 1] += max(0, len(hyp) - n + 1)
+    if hyp_len == 0 or ref_len == 0:
+        return 0.0
+    score = sum(g / max(1, t) for g, t in zip(gained, totals))
+    return score * _reference_nist_brevity(hyp_len, ref_len)
+
+
+def outcome(fn, *args):
+    """The exact bits of fn(*args), or the error it raised."""
+    try:
+        value = fn(*args)
+    except MetricError as exc:
+        return "error", str(exc)
+    return type(value).__name__, value.hex()
+
+
+@st.composite
+def scored_corpora(draw):
+    """Hypotheses (possibly empty), 1-4 references each and an information
+    table built from another corpus, all over ids from a 4-9-id vocabulary
+    with reserved ids mixed in, or over words. So n-grams repeat often, a
+    reference can strip to nothing, and some n-grams carry no weight."""
+    if draw(st.booleans()):
+        tokens = st.integers(0, 3 + draw(st.integers(4, 9)))
+    else:
+        tokens = st.sampled_from("the a cat dog sat on mat".split())
+    sentence = st.lists(tokens, min_size=0, max_size=10)
+    n = draw(st.integers(1, 4))
+    hyps = [draw(sentence) for _ in range(n)]
+    refs = [draw(st.lists(sentence, min_size=1, max_size=4)) for _ in range(n)]
+    info = build_info_table(draw(st.lists(sentence, min_size=1, max_size=6)))
+    return hyps, refs, info
 
 
 @st.composite
@@ -314,6 +463,30 @@ class TestCorpusBleu:
     def test_count_mismatch_rejected(self):
         with pytest.raises(MetricError):
             corpus_bleu([["a"]], [])
+
+
+class TestBleuNistEqualReference:
+    """One clipped count now serves sentence and corpus BLEU and NIST; each
+    score must keep the bits of the function's own loop."""
+
+    @given(data=scored_corpora())
+    @settings(max_examples=400, deadline=None)
+    def test_sentence_scores(self, data):
+        hyps, refs, info = data
+        for hyp, ref in zip(hyps, refs):
+            assert outcome(sentence_bleu_smoothed, hyp, ref[0]) == outcome(
+                reference_sentence_bleu, hyp, ref[0])
+            assert outcome(sentence_nist, hyp, ref[0], info) == outcome(
+                reference_sentence_nist, hyp, ref[0], info)
+
+    @given(data=scored_corpora())
+    @settings(max_examples=400, deadline=None)
+    def test_corpus_scores(self, data):
+        hyps, refs, info = data
+        assert outcome(corpus_bleu, hyps, refs) == outcome(
+            reference_corpus_bleu, hyps, refs)
+        assert outcome(corpus_nist, hyps, refs, info) == outcome(
+            reference_corpus_nist, hyps, refs, info)
 
 
 class TestCorpusTerNist:

@@ -122,6 +122,17 @@ class TestConfig:
         with pytest.raises(ModelError, match=re.escape(message)):
             ModelConfig.from_dict(d)
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [({"embed_dim": 2.5}, "non-integer values for ['embed_dim']"),
+         ({"max_len": None, "hidden_dim": "4"},
+          "non-integer values for ['hidden_dim', 'max_len']"),
+         ({"src_vocab_size": True}, "non-integer values for ['src_vocab_size']")],
+    )
+    def test_constructor_rejects_non_integers(self, change, message):
+        with pytest.raises(ModelError, match=re.escape(message)):
+            tiny_config(**change)
+
 
 class TestInit:
     def test_same_seed_same_params(self):

@@ -17,7 +17,6 @@ from riskseq.mrt import (
     expected_risk,
     mle_loss_and_grad,
     mrt_grad,
-    mrt_grad_via_q,
     q_distribution,
     sample_space,
     sample_trajectories,
@@ -25,6 +24,21 @@ from riskseq.mrt import (
 
 SRC = [4, 5]
 GOLD = (5, 4, EOS)
+
+
+def mrt_grad_via_q(params, src, space, losses, alpha):
+    """The risk gradient taken symbolically through the log-space Q
+    normalization (softmax over alpha-scaled candidate log-probs), a
+    reference for the baseline-subtraction form of ``mrt_grad``."""
+    losses = np.asarray(losses, dtype=np.float64)
+    tape = Tape()
+    bound = BoundModel(params, tape)
+    ann = bound.encode(src)
+    totals = [bound.sequence_logprob_nodes(ann, cand) for cand in space.candidates]
+    scaled = tape.scale(tape.stack_rows(totals), alpha)
+    weights = tape.softmax(scaled)
+    risk = tape.matmul(weights, tape.const(losses))
+    return tape.gradient(risk, params, bound.pn)
 
 
 class TestSampling:

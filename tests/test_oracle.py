@@ -9,9 +9,9 @@ from riskseq.oracle import (
     OracleError,
     enumerate_space,
     exact_grad_check,
-    exact_risk,
     exact_risk_over,
     sampled_risk_spread,
+    space_losses,
     space_size,
 )
 
@@ -96,12 +96,9 @@ class TestExactRisk:
     def test_risk_bounded_by_loss_range(self):
         _, params = small_model(seed=4)
         gold = (4, 5, EOS)
-        risk = exact_risk(
-            enumerate_space(params, SRC, max_len=3),
-            gold,
-            LossKind.NEG_SMOOTHED_BLEU,
-            alpha=5e-3,
-        )
+        full = enumerate_space(params, SRC, max_len=3)
+        losses = space_losses(full.sequences, gold, LossKind.NEG_SMOOTHED_BLEU)
+        risk = exact_risk_over(full, losses, alpha=5e-3)
         assert -1.0 <= risk <= 0.0
 
 
@@ -151,3 +148,11 @@ class TestSampledRiskSpread:
             alpha=1.0, k=50, max_len=3, n_seeds=10,
         )
         assert -1.0 <= mean <= 0.0
+
+    def test_no_seeds_rejected(self):
+        _, params = small_model(seed=2)
+        with pytest.raises(OracleError, match="n_seeds must be >= 1"):
+            sampled_risk_spread(
+                params, SRC, (4, EOS), LossKind.NEG_SMOOTHED_BLEU,
+                alpha=1.0, k=5, max_len=3, n_seeds=0,
+            )

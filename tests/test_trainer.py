@@ -62,6 +62,18 @@ class TestTrainConfig:
             ("max_updates", -1),
             ("eval_every", -1),
             ("learning_rate", -0.1),
+            ("seed", -1),
+            ("batch_size", "8"),
+            ("k", 2.0),
+            ("max_updates", True),
+            ("eval_every", None),
+            ("seed", "a"),
+            ("learning_rate", "0.5"),
+            ("grad_clip_norm", None),
+            ("alpha", True),
+            ("loss_kind", 5),
+            ("init_checkpoint", 5),
+            ("allow_random_init", "no"),
         ],
     )
     def test_invalid_value_rejected_up_front(self, field, value):
