@@ -269,10 +269,20 @@ def cmd_sample(args) -> int:
     return 0
 
 
+def _check_n_seeds(n_seeds: int) -> None:
+    if n_seeds < 1:
+        raise DataError(f"n_seeds must be >= 1, got {n_seeds}")
+
+
 def cmd_oracle(args) -> int:
     seed = args.seed
     if args.vocab < 5:
         raise DataError(f"--vocab must be >= 5 (one content token), got {args.vocab}")
+    if min(args.ks) < 1:
+        raise DataError(f"--ks must all be >= 1, got {min(args.ks)}")
+    if not args.alpha > 0:
+        raise DataError(f"alpha must be positive, got {args.alpha}")
+    _check_n_seeds(args.n_seeds)
     kind = LossKind.parse(args.loss)
     model_cfg = ModelConfig(
         src_vocab_size=args.vocab,
@@ -345,6 +355,7 @@ def cmd_alpha_sweep(args) -> int:
 
 
 def cmd_k_sweep(args) -> int:
+    _check_n_seeds(args.n_seeds)
     run_cfg = load_run_config(args.config) if args.config else {}
     inputs = _load_train_inputs(args, run_cfg)
     _, _, model_cfg, train_corpus, _ = inputs

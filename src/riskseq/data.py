@@ -75,6 +75,7 @@ class Corpus:
     pairs: list[SentencePair]
     # per sentence: 1..R reference id sequences, reserved ids stripped
     references: list[list[tuple[int, ...]]] = field(default_factory=list)
+    filtered_count: int = 0  # pairs load_parallel dropped as over-length
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -147,9 +148,7 @@ def load_parallel(
             references.append([tuple(tgt_ids)])
     if filtered:
         log.info("%s: filtered %d over-length pairs (max_len=%d)", name, filtered, max_len)
-    corpus = Corpus(name=name, pairs=pairs, references=references)
-    corpus.filtered_count = filtered
-    return corpus
+    return Corpus(name=name, pairs=pairs, references=references, filtered_count=filtered)
 
 
 # -- synthetic tasks ------------------------------------------------------

@@ -86,10 +86,9 @@ class Node:
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, so exp never
-    # overflows.
-    pos = x >= 0
-    ex = np.exp(np.where(pos, -x, x))
-    return np.where(pos, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+    # overflows; both branches share e^-|x| and one division.
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
 
 
 def log_softmax(x: np.ndarray) -> np.ndarray:

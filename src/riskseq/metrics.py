@@ -305,6 +305,8 @@ def corpus_ter(hyps: Sequence[Tokens], refs: Sequence[Sequence[Tokens]]) -> floa
     total_edits = 0.0
     total_ref = 0
     for hyp, ref_set in zip(hyps, refs):
+        if not ref_set:
+            raise MetricError("sentence without references")
         best_edits = None
         best_len = None
         for ref in ref_set:
@@ -335,6 +337,8 @@ def corpus_nist(
     hyp_len = 0
     ref_len = 0
     for hyp, ref_set in zip(hyps, refs):
+        if not ref_set:
+            raise MetricError("sentence without references")
         hyp = _strip(hyp)
         ref = _strip(ref_set[0])
         hyp_len += len(hyp)

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .diffcore import Node, ParamStore, Tape, atomic_writer, log_softmax, sigmoid
+from .diffcore import DiffError, Node, ParamStore, Tape, atomic_writer, log_softmax, sigmoid
 
 __all__ = [
     "PAD",
@@ -309,43 +309,29 @@ class BoundModel:
         logits = self._readout(emb, z_new, context)
         return logits, StepState(z=z_new, attn_weights=weights)
 
-    def sequence_logprob_nodes(self, ann: Annotations, tgt: Sequence[int]) -> Node:
-        """Log P(tgt | src) as a tape node. The sequence is scored verbatim:
-        sampled candidates may contain any vocabulary id (the sampler draws
-        from the full distribution) and may lack a terminal EOS when they
-        were truncated at the length limit. EOS may only appear last."""
-        t = self.tape
-        tgt = list(tgt)
-        _validate_target(tgt, self.tgt_vocab_size)
-        per_word: list[Node] = []
-        state = self.initial_state(ann)
-        prev = BOS
-        for tok in tgt:
-            logits, state = self.step_logits(prev, state, ann)
-            per_word.append(t.pick(t.log_softmax(logits), tok))
-            prev = tok
-        return t.sum(t.stack_rows(per_word))
-
 
 class PrefixMemo:
-    """Non-recording decoder steps for one source, memoised by target prefix.
+    """Decoder steps for one source, memoised by target prefix.
 
     ``next_logdist(prefix)`` is the log-distribution of the token after
     ``prefix``. The source is encoded once, and each distinct prefix costs
     one ``step_logits`` call however many callers share it. The values are
     those of stepping the model afresh: the same primitives run on the same
     inputs. Sampling, rescoring, scoring and decoding step the decoder
-    through a memo; training steps it on a recording tape, and the oracle's
-    enumeration keeps its own walk as an independent reference.
+    through a memo on its default non-recording tape. Training passes a
+    recording ``tape``; each prefix then also keeps the nodes its step
+    emitted (the empty prefix, ``initial_state``'s too), which
+    ``logprob_node`` re-emits per target. The oracle's enumeration keeps its
+    own walk as an independent reference.
     """
 
-    def __init__(self, params: ParamStore, src: Sequence[int]):
+    def __init__(self, params: ParamStore, src: Sequence[int], tape: Tape | None = None):
         self.params = params
         self.src = list(src)
-        self.bound = BoundModel(params, Tape(record=False))
+        self.bound = BoundModel(params, Tape(record=False) if tape is None else tape)
         self.ann = self.bound.encode(self.src)
-        # prefix -> (log-distribution of the next token, state after prefix)
-        self._steps: dict[tuple[int, ...], tuple[np.ndarray, StepState]] = {}
+        # prefix -> (next token's log-distribution, state after prefix, step's nodes)
+        self._steps: dict[tuple[int, ...], tuple[np.ndarray, StepState, list[Node]]] = {}
 
     def next_logdist(self, prefix: tuple[int, ...]) -> np.ndarray:
         """Prefixes must be visited shortest first: the step after
@@ -353,24 +339,43 @@ class PrefixMemo:
         The returned array is shared; copy it before changing it."""
         entry = self._steps.get(prefix)
         if entry is None:
-            bound = self.bound
+            bound, start = self.bound, len(self.bound.tape.nodes)
             if prefix:
                 state, prev = self._steps[prefix[:-1]][1], prefix[-1]
             else:
                 state, prev = bound.initial_state(self.ann), BOS
             logits, new_state = bound.step_logits(prev, state, self.ann)
-            entry = (bound.tape.log_softmax(logits).value, new_state)
+            entry = (bound.tape.log_softmax(logits).value, new_state, bound.tape.nodes[start:])
             self._steps[prefix] = entry
         return entry[0]
 
     def logprob(self, tgt: Sequence[int]) -> tuple[float, list[float]]:
-        """Total and per-token log P(tgt | src), scored verbatim as
-        ``sequence_logprob_nodes`` scores it; the total is reduced as that
-        reduces it (the picks in one vector, then summed)."""
+        """Total and per-token log P(tgt | src), the total reduced as
+        ``logprob_node`` reduces it (the picks in one vector, then summed).
+        Targets are scored verbatim: any vocabulary id, a terminal EOS not
+        needed (truncated samples lack it), but EOS only last."""
         tgt = tuple(tgt)
         _validate_target(tgt, self.bound.tgt_vocab_size)
         picks = [self.next_logdist(tgt[:n])[tok] for n, tok in enumerate(tgt)]
         return float(np.array(picks).sum()), [float(p) for p in picks]
+
+    def logprob_node(self, tgt: Sequence[int]) -> Node:
+        """``logprob``'s total on the memo's recording tape. Each prefix's
+        nodes are emitted again, parents mapped to this target's copies,
+        while annotations and parameters stay shared. VJPs read only forward
+        values, so the copies back-propagate as a fresh walk would; the
+        memo's own nodes cannot reach a seed."""
+        tgt, tape, copies, picks = tuple(tgt), self.bound.tape, {}, []
+        if not tape.record:
+            raise DiffError("logprob_node needs a memo on a recording tape")
+        _validate_target(tgt, self.bound.tgt_vocab_size)
+        for n, tok in enumerate(tgt):
+            self.next_logdist(tgt[:n])
+            for node in self._steps[tgt[:n]][2]:
+                parents = tuple(copies.get(p, p) for p in node.parents)
+                copies[node] = copy = tape.emit(node.value, parents, node.vjp)
+            picks.append(tape.pick(copy, tok))
+        return tape.sum(tape.stack_rows(picks))
 
 
 def _strip_trailing_pad(tgt: Sequence[int]) -> list[int]:

@@ -6,10 +6,10 @@ inserted first). Risk is the expectation of a sentence-level loss under
 the alpha-sharpened Q-distribution over that space; its gradient uses
 baseline subtraction and holds the candidate set fixed.
 
-Sampling and rescoring step the decoder through one per-source
-``model.PrefixMemo``, so a state shared by several trajectories or candidates
-is computed once; sampled spaces are bit-identical to stepping the model
-afresh for every trajectory and candidate.
+Sampling, rescoring and the risk gradient step the decoder through one
+per-source ``model.PrefixMemo``, so a state shared by several trajectories
+or candidates is computed once; spaces and gradients are bit-identical to
+stepping the model afresh for every trajectory and candidate.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .diffcore import ParamStore, Tape
-from .model import EOS, BoundModel, PrefixMemo, _checked_target
+from .model import EOS, PrefixMemo, _checked_target
 
 __all__ = [
     "MrtError",
@@ -164,10 +164,12 @@ def sample_space(
     k: int,
     max_len: int,
     rng: np.random.Generator,
+    *,
+    memo: PrefixMemo | None = None,
 ) -> SampledSpace:
     """Sample and score one sentence's space. Sampling and rescoring share
     one prefix memo, so scoring a candidate reuses the sampler's steps."""
-    memo = PrefixMemo(params, src)
+    memo = _memo_for(params, src, memo)
     trajectories = sample_trajectories(params, src, k, max_len, rng, memo=memo)
     return build_space(params, src, gold, trajectories, k, max_len, memo=memo)
 
@@ -206,24 +208,24 @@ def mrt_grad(
     q: QDistribution,
     report: RiskReport,
     alpha: float,
+    *,
+    memo: PrefixMemo | None = None,
 ) -> np.ndarray:
     """Gradient of the sampled expected risk with the candidate set held
     fixed: alpha * sum_i w_i (loss_i - R) * grad log P(y_i | x), where the
-    baseline R is the expected risk."""
+    baseline R is the expected risk; a given ``memo`` must record."""
     coeffs = alpha * q.weights * report.advantages
     if not np.any(coeffs):
         return np.zeros(params.size)
-    tape = Tape()
-    bound = BoundModel(params, tape)
-    ann = bound.encode(src)
+    memo = PrefixMemo(params, src, Tape()) if memo is None else _memo_for(params, src, memo)
+    tape = memo.bound.tape
     terms = []
     for i, cand in enumerate(space.candidates):
         if coeffs[i] == 0.0:
             continue
-        total = bound.sequence_logprob_nodes(ann, cand)
-        terms.append(tape.scale(total, coeffs[i]))
+        terms.append(tape.scale(memo.logprob_node(cand), coeffs[i]))
     seed = tape.sum(tape.stack_rows(terms))
-    return tape.gradient(seed, params, bound.pn)
+    return tape.gradient(seed, params, memo.bound.pn)
 
 
 def mle_loss_and_grad(
@@ -237,11 +239,8 @@ def mle_loss_and_grad(
     loss = 0.0
     grad = np.zeros(params.size)
     for src, tgt in batch:
-        tape = Tape()
-        bound = BoundModel(params, tape)
-        ann = bound.encode(src)
-        total = bound.sequence_logprob_nodes(ann, _checked_target(tgt))
-        nll = tape.scale(total, -1.0)
+        memo = PrefixMemo(params, src, Tape())
+        nll = memo.bound.tape.scale(memo.logprob_node(_checked_target(tgt)), -1.0)
         loss += float(nll.value)
-        grad += tape.gradient(nll, params, bound.pn)
+        grad += memo.bound.tape.gradient(nll, params, memo.bound.pn)
     return loss, grad

@@ -23,9 +23,9 @@ import numpy as np
 from . import metrics, mrt
 from .data import Corpus
 from .decoder import DEFAULT_BEAM, decode_corpus
-from .diffcore import ParamStore
+from .diffcore import ParamStore, Tape
 from .metrics import LossKind
-from .model import ModelConfig, check_params, init_params
+from .model import ModelConfig, PrefixMemo, check_params, init_params
 
 __all__ = [
     "TrainError",
@@ -131,8 +131,9 @@ def _clip(grad: np.ndarray, max_norm: float) -> np.ndarray:
 
 def _mrt_sentence_grad(params, pair, refs, cfg, model_cfg, update, sent_index, info):
     rng = np.random.default_rng([cfg.seed, update, sent_index])
+    memo = PrefixMemo(params, pair.src, Tape())  # one decoder walk per sentence
     space = mrt.sample_space(
-        params, pair.src, pair.tgt, cfg.k, model_cfg.max_len, rng
+        params, pair.src, pair.tgt, cfg.k, model_cfg.max_len, rng, memo=memo
     )
     gold = refs[0] if refs else tuple(pair.tgt)
     losses = [
@@ -140,7 +141,7 @@ def _mrt_sentence_grad(params, pair, refs, cfg, model_cfg, update, sent_index, i
     ]
     q = mrt.q_distribution(space, cfg.alpha)
     report = mrt.expected_risk(space, q, losses)
-    grad = mrt.mrt_grad(params, pair.src, space, q, report, cfg.alpha)
+    grad = mrt.mrt_grad(params, pair.src, space, q, report, cfg.alpha, memo=memo)
     return report.expected_risk, grad
 
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from riskseq.model import ModelConfig, init_params
+from riskseq.diffcore import Tape
+from riskseq.model import BOS, BoundModel, ModelConfig, init_params
+from riskseq.model import _checked_target, _validate_target
 
 
 def toy_config(tgt_vocab=6, **overrides):
@@ -30,3 +32,56 @@ def noisy_params(cfg, seed, scale=0.5):
 def toy_model():
     cfg = toy_config()
     return cfg, noisy_params(cfg, seed=0)
+
+
+# -- unmemoised references ---------------------------------------------------
+# Every target walks the decoder afresh from BOS on one recording tape, the
+# walk ``PrefixMemo.logprob_node`` must reproduce byte for byte.
+
+
+def reference_logprob_nodes(bound, ann, tgt):
+    """Log P(tgt | src) as a tape node, the target scored verbatim."""
+    t = bound.tape
+    tgt = list(tgt)
+    _validate_target(tgt, bound.tgt_vocab_size)
+    per_word = []
+    state = bound.initial_state(ann)
+    prev = BOS
+    for tok in tgt:
+        logits, state = bound.step_logits(prev, state, ann)
+        per_word.append(t.pick(t.log_softmax(logits), tok))
+        prev = tok
+    return t.sum(t.stack_rows(per_word))
+
+
+def reference_mrt_grad(params, src, space, q, report, alpha):
+    """``mrt.mrt_grad`` with one fresh walk per candidate."""
+    coeffs = alpha * q.weights * report.advantages
+    if not np.any(coeffs):
+        return np.zeros(params.size)
+    tape = Tape()
+    bound = BoundModel(params, tape)
+    ann = bound.encode(src)
+    terms = []
+    for i, cand in enumerate(space.candidates):
+        if coeffs[i] == 0.0:
+            continue
+        total = reference_logprob_nodes(bound, ann, cand)
+        terms.append(tape.scale(total, coeffs[i]))
+    seed = tape.sum(tape.stack_rows(terms))
+    return tape.gradient(seed, params, bound.pn)
+
+
+def reference_mle_loss_and_grad(params, batch):
+    """``mrt.mle_loss_and_grad`` with one fresh walk per sentence."""
+    loss = 0.0
+    grad = np.zeros(params.size)
+    for src, tgt in batch:
+        tape = Tape()
+        bound = BoundModel(params, tape)
+        ann = bound.encode(src)
+        total = reference_logprob_nodes(bound, ann, _checked_target(tgt))
+        nll = tape.scale(total, -1.0)
+        loss += float(nll.value)
+        grad += tape.gradient(nll, params, bound.pn)
+    return loss, grad

@@ -165,7 +165,22 @@ class TestBadRunSettings:
         )
         assert code == 2
         assert err == "error: n_seeds must be >= 1, got 0\n"
-        assert "nan" not in out
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--ks", "5", "0"], "--ks must all be >= 1, got 0"),
+         (["--alpha", "0"], "alpha must be positive, got 0.0")],
+        ids=["ks", "alpha"],
+    )
+    def test_oracle_flag_rejected_before_output(self, workdir, capsys, flags,
+                                                message):
+        code, out, err = run(
+            capsys, "oracle", "--vocab", "6", "--max-len", "3", *flags, "--quiet",
+        )
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert out == ""
 
     def test_k_sweep_without_seeds(self, trained, capsys):
         code, out, err = run(
@@ -179,7 +194,7 @@ class TestBadRunSettings:
         )
         assert code == 2
         assert err == "error: n_seeds must be >= 1, got 0\n"
-        assert "nan" not in out
+        assert out == ""
 
 
 class TestGenSynthetic:

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,12 @@ class TestSynthetic:
         seen = {tuple(p.src) for p in train.pairs}
         assert not seen & {tuple(p.src) for p in valid.pairs}
         assert not seen & {tuple(p.src) for p in test.pairs}
+
+    def test_synthetic_corpora_filter_nothing(self):
+        # filtered_count is a declared field, so every corpus carries it
+        for corpus in gen_synthetic("copy", 10, 30, (2, 4), seed=3):
+            assert corpus.filtered_count == 0
+            assert "filtered_count" in {f.name for f in fields(corpus)}
 
     def test_valid_and_test_carry_four_identical_references(self):
         _, valid, test = gen_synthetic("copy", 10, 30, (2, 4), seed=3)

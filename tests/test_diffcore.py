@@ -15,6 +15,7 @@ from riskseq.diffcore import (
     Tape,
     finite_diff_grad,
     relative_error,
+    sigmoid,
 )
 from riskseq.model import Annotations, BoundModel, ModelConfig, init_params
 
@@ -24,6 +25,36 @@ def make_store(**arrays):
     for name, arr in arrays.items():
         store.add(name, np.asarray(arr, dtype=np.float64))
     return store
+
+
+def reference_sigmoid(x):
+    """The two-branch form: 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below."""
+    pos = x >= 0
+    ex = np.exp(np.where(pos, -x, x))
+    return np.where(pos, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+
+
+class TestSigmoid:
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(-800, 800),
+                st.sampled_from([0.0, -0.0, math.inf, -math.inf]),
+            ),
+            min_size=1,
+            max_size=64,
+        )
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_byte_equal_to_two_branch_form(self, xs):
+        x = np.array(xs)
+        assert sigmoid(x).tobytes() == reference_sigmoid(x).tobytes()
+
+    def test_signed_zeros_and_infinities(self):
+        x = np.array([0.0, -0.0, math.inf, -math.inf, 800.0, -800.0])
+        out = sigmoid(x)
+        assert out.tobytes() == reference_sigmoid(x).tobytes()
+        assert list(out[:4]) == [0.5, 0.5, 1.0, 0.0]
 
 
 class TestPrimitives:

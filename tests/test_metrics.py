@@ -515,3 +515,11 @@ class TestCorpusTerNist:
         refs = [["a b".split()]]
         info = build_info_table([refs[0][0]])
         assert corpus_nist([[]], refs, info) == 0.0
+
+    @pytest.mark.parametrize("score", [corpus_bleu, corpus_ter, corpus_nist])
+    def test_sentence_without_references_rejected(self, score):
+        args = ([["a"], ["b"]], [[["a"]], []])
+        if score is corpus_nist:
+            args += ({},)
+        with pytest.raises(MetricError, match="sentence without references"):
+            score(*args)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_logprob_nodes
 from riskseq.diffcore import ParamStore, Tape
 from riskseq.model import (
     BOS,
@@ -15,6 +16,7 @@ from riskseq.model import (
     BoundModel,
     ModelConfig,
     ModelError,
+    PrefixMemo,
     check_params,
     init_params,
     load_model,
@@ -267,14 +269,15 @@ class TestSequenceLogprob:
         params.set_flat(params.flat() + rng.normal(size=params.size))
         tgt = body + [EOS]
         total, per_word = sequence_logprob(params, src, tgt)
-        tape = Tape()
-        bound = BoundModel(params, tape)
-        node = bound.sequence_logprob_nodes(bound.encode(src), tgt)
-        picks = node.parents[0].parents  # sum <- stack_rows <- per-word picks
-        assert np.float64(total).tobytes() == node.value.tobytes()
-        assert np.array(per_word).tobytes() == np.array(
-            [p.value for p in picks]
-        ).tobytes()
+        bound = BoundModel(params, Tape())
+        node = reference_logprob_nodes(bound, bound.encode(src), tgt)
+        memo_node = PrefixMemo(params, src, Tape()).logprob_node(tgt)
+        for n in (node, memo_node):
+            picks = n.parents[0].parents  # sum <- stack_rows <- per-word picks
+            assert np.float64(total).tobytes() == n.value.tobytes()
+            assert np.array(per_word).tobytes() == np.array(
+                [p.value for p in picks]
+            ).tobytes()
 
     def test_logprob_changes_with_trained_projection(self, tiny):
         _, params = tiny

@@ -5,10 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import noisy_params, toy_config
-from riskseq.diffcore import Tape, finite_diff_grad, relative_error
-from riskseq.metrics import LossKind, delta
-from riskseq.model import BOS, EOS, BoundModel, ModelError, init_params
+from conftest import (
+    noisy_params,
+    reference_logprob_nodes,
+    reference_mle_loss_and_grad,
+    reference_mrt_grad,
+    toy_config,
+)
+from riskseq.diffcore import DiffError, Tape, finite_diff_grad, relative_error
+from riskseq.metrics import LossKind, build_info_table, delta
+from riskseq.model import BOS, EOS, BoundModel, ModelConfig, ModelError, PrefixMemo
+from riskseq.model import init_params
 from riskseq.mrt import (
     MrtError,
     SampledSpace,
@@ -34,7 +41,7 @@ def mrt_grad_via_q(params, src, space, losses, alpha):
     tape = Tape()
     bound = BoundModel(params, tape)
     ann = bound.encode(src)
-    totals = [bound.sequence_logprob_nodes(ann, cand) for cand in space.candidates]
+    totals = [reference_logprob_nodes(bound, ann, cand) for cand in space.candidates]
     scaled = tape.scale(tape.stack_rows(totals), alpha)
     weights = tape.softmax(scaled)
     risk = tape.matmul(weights, tape.const(losses))
@@ -100,7 +107,7 @@ def reference_logprobs(params, src, candidates):
     bound = BoundModel(params, Tape(record=False))
     ann = bound.encode(src)
     return np.array(
-        [float(bound.sequence_logprob_nodes(ann, c).value) for c in candidates]
+        [float(reference_logprob_nodes(bound, ann, c).value) for c in candidates]
     )
 
 
@@ -168,12 +175,14 @@ class TestPrefixMemo:
             candidate_logprobs(params, SRC, [()])
 
     def test_memo_of_another_source_rejected(self, toy_model):
-        from riskseq.model import PrefixMemo
-
         _, params = toy_model
         memo = PrefixMemo(params, [5, 4])
         with pytest.raises(MrtError):
             candidate_logprobs(params, SRC, [GOLD], memo=memo)
+        space, losses = _space_and_losses(params, [(4, EOS)], GOLD)
+        q = q_distribution(space, 0.5)
+        with pytest.raises(MrtError):
+            mrt_grad(params, SRC, space, q, expected_risk(space, q, losses), 0.5, memo=memo)
 
 
 class TestBuildSpace:
@@ -368,3 +377,68 @@ class TestMleLossAndGrad:
         stepped.set_flat(stepped.flat() - 0.1 * grad)
         loss1, _ = mle_loss_and_grad(stepped, batch)
         assert loss1 < loss0
+
+
+def random_model(draw):
+    """A noisy toy model: target vocabulary 5-11, every dimension 1-6."""
+    vocab = draw(st.integers(5, 11))
+    E, H, A = (draw(st.integers(1, 6)) for _ in range(3))
+    seed = draw(st.integers(0, 10**6))
+    cfg = ModelConfig(6, vocab, E, H, A, max_len=6)
+    return noisy_params(cfg, seed, scale=1.5), vocab, seed
+
+
+class TestOneDecoderWalk:
+    """Training steps the decoder through the prefix memo; its gradients
+    equal the unmemoised walk's byte for byte."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        k=st.integers(1, 39),
+        kind=st.sampled_from(list(LossKind)),
+        alpha=st.sampled_from([5e-3, 0.3, 1.0]),
+    )
+    def test_mrt_grad_byte_equal_to_reference(self, data, k, kind, alpha):
+        params, vocab, seed = random_model(data.draw)
+        src = data.draw(st.lists(st.integers(4, 5), min_size=1, max_size=4))
+        body = data.draw(st.lists(st.integers(4, vocab - 1), min_size=1, max_size=3))
+        gold = tuple(body) + (EOS,)
+        info = build_info_table([gold]) if kind is LossKind.NEG_SMOOTHED_NIST else None
+        memo = PrefixMemo(params, src, Tape())
+        space = sample_space(
+            params, src, gold, k, 5, np.random.default_rng(seed), memo=memo
+        )
+        plain = sample_space(params, src, gold, k, 5, np.random.default_rng(seed))
+        assert space.candidates == plain.candidates
+        assert space.logprobs.tobytes() == plain.logprobs.tobytes()
+        losses = [delta(kind, c, gold, info) for c in space.candidates]
+        q = q_distribution(space, alpha)
+        report = expected_risk(space, q, losses)
+        expected = reference_mrt_grad(params, src, space, q, report, alpha).tobytes()
+        assert mrt_grad(params, src, space, q, report, alpha, memo=memo).tobytes() == expected
+        assert mrt_grad(params, src, space, q, report, alpha).tobytes() == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n_pairs=st.integers(1, 4))
+    def test_mle_byte_equal_to_reference(self, data, n_pairs):
+        params, vocab, _ = random_model(data.draw)
+        batch = [
+            (
+                data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=5)),
+                data.draw(st.lists(st.integers(2, vocab - 1), max_size=5)) + [EOS],
+            )
+            for _ in range(n_pairs)
+        ]
+        loss, grad = mle_loss_and_grad(params, batch)
+        ref_loss, ref_grad = reference_mle_loss_and_grad(params, batch)
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
+
+    def test_non_recording_memo_rejected(self, toy_model):
+        _, params = toy_model
+        space, losses = _space_and_losses(params, [(4, EOS), (5, EOS)], GOLD)
+        q = q_distribution(space, 0.5)
+        report = expected_risk(space, q, losses)
+        with pytest.raises(DiffError, match="recording tape"):
+            mrt_grad(params, SRC, space, q, report, 0.5, memo=PrefixMemo(params, SRC))

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import noisy_params, toy_config
+from riskseq import mrt
 from riskseq.data import Corpus, SentencePair
 from riskseq.metrics import LossKind
-from riskseq.model import EOS, init_params
+from riskseq.model import EOS, BoundModel, init_params
 from riskseq.mrt import mle_loss_and_grad
 from riskseq.trainer import (
     CurvePoint,
@@ -18,7 +19,7 @@ from riskseq.trainer import (
     curve_to_csv,
     train,
 )
-from riskseq.trainer import _clip
+from riskseq.trainer import _clip, _mrt_sentence_grad
 
 
 def tiny_corpus(n=12, seed=0):
@@ -184,6 +185,39 @@ class TestTrainMrt:
         a = train(tc, cfg, corpus, None, start).final_params.flat()
         b = train(tc, cfg, corpus, None, start).final_params.flat()
         assert a.tobytes() == b.tobytes()
+
+    def test_one_encode_and_one_step_per_distinct_prefix(self, monkeypatch):
+        # Sampling, rescoring and the gradient of one sentence share one
+        # recorded decoder walk.
+        cfg = toy_config()
+        params = noisy_params(cfg, seed=4)
+        calls = {"encode": 0, "step": 0}
+        spaces = []
+        encode, step = BoundModel.encode, BoundModel.step_logits
+        sample_space = mrt.sample_space
+
+        def counting_encode(self, src):
+            calls["encode"] += 1
+            return encode(self, src)
+
+        def counting_step(self, prev, state, ann):
+            calls["step"] += 1
+            return step(self, prev, state, ann)
+
+        def kept_space(*args, **kwargs):
+            spaces.append(sample_space(*args, **kwargs))
+            return spaces[-1]
+
+        monkeypatch.setattr(BoundModel, "encode", counting_encode)
+        monkeypatch.setattr(BoundModel, "step_logits", counting_step)
+        monkeypatch.setattr(mrt, "sample_space", kept_space)
+        pair = SentencePair(src=[4, 5, 4], tgt=[5, 4, 5, EOS])
+        train_cfg = TrainConfig(criterion="mrt", k=30, alpha=0.5, allow_random_init=True)
+        _, grad = _mrt_sentence_grad(params, pair, [], train_cfg, cfg, 1, 0, None)
+        (space,) = spaces
+        prefixes = {c[:n] for c in space.candidates for n in range(len(c))}
+        assert len(space) > 2 and grad.any()
+        assert calls == {"encode": 1, "step": len(prefixes)}
 
 
 # Trains the acceptance recipe's MLE config for 60 updates, then 3 MRT
