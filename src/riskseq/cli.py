@@ -18,7 +18,7 @@ import numpy as np
 
 from . import data, metrics, mrt, oracle, trainer
 from .data import Corpus, DataError, Vocab
-from .decoder import beam_decode, greedy_decode
+from .decoder import beam_decode
 from .diffcore import DiffError, ParamStore
 from .metrics import LossKind, MetricError
 from .model import EOS, ModelConfig, ModelError, check_params, init_params
@@ -208,16 +208,13 @@ def _load_checkpoint(args) -> tuple[ParamStore, ModelConfig, Vocab, Vocab]:
 def cmd_decode(args) -> int:
     params, model_cfg, src_vocab, tgt_vocab = _load_checkpoint(args)
     max_len = args.max_len if args.max_len is not None else model_cfg.max_len
+    if args.beam < 1:
+        raise DataError(f"beam width must be >= 1, got {args.beam}")
+    if max_len < 1:
+        raise DataError(f"length limit must be >= 1, got {max_len}")
     lines = []
     for words in data.read_token_lines(args.input):
-        src = src_vocab.encode(words)
-        try:
-            if args.beam == 1:
-                out = greedy_decode(params, src, max_len)
-            else:
-                out = beam_decode(params, src, args.beam, max_len)
-        except ValueError as exc:  # a beam width or length limit below 1
-            raise DataError(str(exc)) from None
+        out = beam_decode(params, src_vocab.encode(words), args.beam, max_len)
         lines.append(" ".join(tgt_vocab.decode([t for t in out if t != EOS])))
     _write_lines(args.output, lines)
     return 0
@@ -251,11 +248,7 @@ def cmd_sample(args) -> int:
     golds = data.read_token_lines(args.gold)
     if len(srcs) != len(golds):
         raise DataError(f"{len(srcs)} source lines vs {len(golds)} gold lines")
-    info = None
-    if kind is LossKind.NEG_SMOOTHED_NIST:
-        info = metrics.build_info_table(
-            [tuple(tgt_vocab.encode(g)) for g in golds]
-        )
+    info = metrics.info_table_for(kind, [tgt_vocab.encode(g) for g in golds])
     for i, (src_words, gold_words) in enumerate(zip(srcs, golds)):
         src = src_vocab.encode(src_words)
         gold = tgt_vocab.encode(gold_words) + [EOS]
@@ -298,8 +291,9 @@ def cmd_oracle(args) -> int:
     src = [content[int(rng.integers(len(content)))] for _ in range(2)]
     gold = [content[int(rng.integers(len(content)))] for _ in range(2)] + [EOS]
 
+    info = metrics.info_table_for(kind, [gold])
     full = oracle.enumerate_space(params, src, args.max_len)
-    losses = oracle.space_losses(full.sequences, gold, kind)
+    losses = oracle.space_losses(full.sequences, gold, kind, info)
     exact = oracle.exact_risk_over(full, losses, args.alpha)
 
     print("section,key,value")
@@ -309,11 +303,13 @@ def cmd_oracle(args) -> int:
     for k in args.ks:
         mean, std = oracle.sampled_risk_spread(
             params, src, gold, kind, args.alpha, k, args.max_len,
-            n_seeds=args.n_seeds, base_seed=seed,
+            n_seeds=args.n_seeds, base_seed=seed, info=info,
         )
         print(f"risk,sampled_mean_k{k},{mean:.12f}")
         print(f"risk,sampled_std_k{k},{std:.12f}")
-    err = oracle.exact_grad_check(params, src, gold, kind, args.alpha, args.max_len)
+    err = oracle.exact_grad_check(
+        params, src, gold, kind, args.alpha, args.max_len, info
+    )
     print(f"gradient,max_rel_error,{err:.3e}")
     return 0
 
@@ -365,6 +361,7 @@ def cmd_k_sweep(args) -> int:
     params = ParamStore.load(cfg.init_checkpoint)
     check_params(params, model_cfg)
     _check_sweep_scores(inputs, cfg)
+    info = metrics.info_table_for(cfg.loss_kind, [p.tgt for p in train_corpus.pairs])
     pair = train_corpus.pairs[0]
     print("k,risk_stddev,valid_bleu")
     for k in args.ks:
@@ -372,6 +369,7 @@ def cmd_k_sweep(args) -> int:
             _, std = oracle.sampled_risk_spread(
                 params, pair.src, pair.tgt, cfg.loss_kind, cfg.alpha, k,
                 model_cfg.max_len, n_seeds=args.n_seeds, base_seed=cfg.seed,
+                info=info,
             )
             result = _sweep_train(inputs, replace(cfg, k=k), params)
             print(f"{k},{std:.6f},{result.best_bleu:.2f}")

@@ -1,18 +1,16 @@
-"""Greedy and beam-search inference.
+"""Beam-search inference; greedy decoding is beam search of width 1.
 
 Beam search keeps the top-width expansions by accumulated log-prob;
 finished hypotheses retire into a completed pool and the final answer is
 the completed hypothesis with the best length-normalized score (ties go
 to the lexicographically smallest token sequence). PAD and BOS are never
-proposed as output tokens. Both searches step the decoder through one
+proposed as output tokens. The search steps the decoder through one
 ``model.PrefixMemo`` per sentence.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
-
-import numpy as np
 
 from .diffcore import ParamStore
 from .model import BOS, EOS, PAD, PrefixMemo
@@ -22,27 +20,11 @@ __all__ = ["greedy_decode", "beam_decode", "decode_corpus", "DEFAULT_BEAM"]
 DEFAULT_BEAM = 10
 
 
-def _masked_logdist(memo: PrefixMemo, tokens: tuple[int, ...]) -> np.ndarray:
-    logdist = memo.next_logdist(tokens).copy()
-    logdist[PAD] = -np.inf
-    logdist[BOS] = -np.inf
-    return logdist
-
-
 def greedy_decode(
     params: ParamStore, src: Sequence[int], max_len: int
 ) -> tuple[int, ...]:
     """Argmax token per step until EOS or the length limit."""
-    if max_len < 1:
-        raise ValueError(f"length limit must be >= 1, got {max_len}")
-    memo = PrefixMemo(params, src)
-    tokens: tuple[int, ...] = ()
-    for _ in range(max_len):
-        tok = int(np.argmax(_masked_logdist(memo, tokens)))
-        tokens += (tok,)
-        if tok == EOS:
-            break
-    return tokens
+    return beam_decode(params, src, 1, max_len)
 
 
 def beam_decode(
@@ -70,11 +52,9 @@ def beam_decode(
             break
         expansions = []
         for tokens, lp in live:
-            logdist = _masked_logdist(memo, tokens)
-            for tok in range(len(logdist)):
-                if logdist[tok] == -np.inf:
-                    continue
-                expansions.append((tokens + (tok,), lp + float(logdist[tok])))
+            for tok, logp in enumerate(memo.next_logdist(tokens).tolist()):
+                if tok != PAD and tok != BOS:
+                    expansions.append((tokens + (tok,), lp + logp))
         expansions.sort(key=lambda h: (-h[1], h[0]))
         live = []
         for tokens, lp in expansions[:width]:
@@ -105,6 +85,4 @@ def decode_corpus(
     width: int,
     max_len: int,
 ) -> list[tuple[int, ...]]:
-    if width == 1:
-        return [greedy_decode(params, src, max_len) for src in sources]
     return [beam_decode(params, src, width, max_len) for src in sources]

@@ -34,6 +34,7 @@ __all__ = [
     "corpus_ter",
     "corpus_nist",
     "build_info_table",
+    "info_table_for",
 ]
 
 MAX_NGRAM = 4
@@ -227,6 +228,16 @@ def build_info_table(ref_corpus: Sequence[Tokens]) -> dict[tuple, float]:
         prefix_count = total_tokens if len(gram) == 1 else counts[gram[:-1]]
         info[gram] = math.log2(prefix_count / c)
     return info
+
+
+def info_table_for(
+    kind: LossKind, ref_corpus: Sequence[Tokens]
+) -> dict[tuple, float] | None:
+    """The information table ``delta(kind, ...)`` needs: built from
+    ``ref_corpus`` for the NIST loss, None for the others."""
+    if kind is LossKind.NEG_SMOOTHED_NIST:
+        return build_info_table(ref_corpus)
+    return None
 
 
 def _nist_brevity(hyp_len: int, ref_len: int) -> float:

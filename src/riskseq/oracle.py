@@ -17,7 +17,8 @@ import numpy as np
 from . import metrics
 from .diffcore import ParamStore, Tape, finite_diff_grad, relative_error
 from .model import BOS, EOS, BoundModel
-from .mrt import SampledSpace, candidate_logprobs, expected_risk, mrt_grad, q_distribution
+from .mrt import SampledSpace, candidate_logprobs, expected_risk, mrt_grad
+from .mrt import q_distribution, sample_space
 
 __all__ = [
     "OracleError",
@@ -56,7 +57,6 @@ class FullSpace:
     logprobs: np.ndarray
     probs: np.ndarray
     terminated_mass: float
-    max_len: int
 
 
 def space_size(n_content: int, max_len: int) -> int:
@@ -97,7 +97,6 @@ def enumerate_space(
         logprobs=lp_arr,
         probs=probs,
         terminated_mass=float(probs.sum()),
-        max_len=max_len,
     )
 
 
@@ -140,7 +139,6 @@ def exact_grad_check(
     alpha: float,
     max_len: int,
     info=None,
-    fd_step: float = 1e-5,
 ) -> float:
     """Max relative error between the baseline-subtraction gradient taken
     over the full enumeration and the central finite difference of the
@@ -168,7 +166,7 @@ def exact_grad_check(
         lp = candidate_logprobs(store, src, candidates)
         return float(_q_full(lp, alpha) @ losses)
 
-    numeric = finite_diff_grad(objective, params, step=fd_step)
+    numeric = finite_diff_grad(objective, params)
     return relative_error(analytic, numeric)
 
 
@@ -184,8 +182,6 @@ def sampled_risk(
     info=None,
 ) -> float:
     """One sampled expected-risk estimate for a sentence."""
-    from .mrt import sample_space
-
     space = sample_space(params, src, gold, k, max_len, rng)
     losses = space_losses(space.candidates, gold, kind, info)
     q = q_distribution(space, alpha)

@@ -15,7 +15,7 @@ not be bit-identical across BLAS thread settings.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -119,7 +119,6 @@ class TrainResult:
     best_bleu: float | None
     curve: list[CurvePoint]
     final_params: ParamStore
-    config: TrainConfig = field(repr=False)
 
 
 def _clip(grad: np.ndarray, max_norm: float) -> np.ndarray:
@@ -167,9 +166,7 @@ def train(
             initial = init_params(model_cfg, cfg.seed)
     params = initial.copy()
 
-    info = None
-    if cfg.loss_kind is LossKind.NEG_SMOOTHED_NIST:
-        info = metrics.build_info_table([p.tgt for p in train_corpus.pairs])
+    info = metrics.info_table_for(cfg.loss_kind, [p.tgt for p in train_corpus.pairs])
 
     curve: list[CurvePoint] = []
     best_params = params.copy()
@@ -242,7 +239,6 @@ def train(
         best_bleu=best_bleu,
         curve=curve,
         final_params=params,
-        config=cfg,
     )
 
 

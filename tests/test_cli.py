@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -323,6 +324,25 @@ class TestTrainDecodeEvaluate:
         assert code == 2
         assert err.startswith("error: ") and "must be >= 1" in err
 
+    @pytest.mark.parametrize(
+        "limits, message",
+        [(["--beam", "0"], "beam width must be >= 1, got 0"),
+         (["--max-len", "-3"], "length limit must be >= 1, got -3")],
+        ids=["beam", "max-len"],
+    )
+    def test_limits_checked_on_empty_input(self, trained, workdir, capsys,
+                                           limits, message):
+        (workdir / "empty.src").write_text("")
+        code, out, err = run(
+            capsys, "decode", "--checkpoint", "model.ckpt",
+            "--input", "empty.src", "--output", "hyp.txt", *limits,
+            "--src-vocab", "task/vocab.txt", "--tgt-vocab", "task/vocab.txt",
+            "--quiet",
+        )
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert not out and not os.path.exists("hyp.txt")
+
     def test_evaluate_perfect_hypothesis(self, task_dir, capsys):
         code, out, _ = run(
             capsys, "evaluate", "--hyp", "task/valid.tgt",
@@ -521,6 +541,21 @@ class TestSampleAndOracle:
         assert float(grad_line[0].split(",")[2]) <= 1e-4
 
 
+    def test_oracle_with_nist_loss(self, workdir, capsys):
+        code, out, _ = run(
+            capsys, "oracle", "--vocab", "6", "--max-len", "3",
+            "--loss", "neg_snist", "--ks", "10", "--n-seeds", "2", "--quiet",
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [r[1] for r in rows] == [
+            "sequences", "terminated_mass", "exact", "sampled_mean_k10",
+            "sampled_std_k10", "max_rel_error",
+        ]
+        assert all(math.isfinite(float(r[2])) for r in rows)
+        assert float(rows[-1][2]) <= 1e-4
+
+
 class TestValidationReferences:
     """--max-len 5 drops some validation pairs; the references of the kept
     pairs must still be their own."""
@@ -685,3 +720,24 @@ class TestSweeps:
         for line in lines[1:]:
             k, std, bleu = line.split(",")
             assert float(std) >= 0.0
+
+    def test_k_sweep_with_nist_loss(self, trained, capsys):
+        code, out, _ = run(
+            capsys, "k-sweep", "--quiet", "--loss", "neg_snist",
+            "--train-src", "task/train.src", "--train-tgt", "task/train.tgt",
+            "--valid-src", "task/valid.src", "--valid-tgt", "task/valid.tgt",
+            "--valid-ref", "task/valid.ref",
+            "--src-vocab", "task/vocab.txt", "--tgt-vocab", "task/vocab.txt",
+            "--embed-dim", "4", "--hidden-dim", "6", "--attention-dim", "4",
+            "--max-len", "6", "--batch-size", "4", "--max-updates", "2",
+            "--eval-every", "2",
+            "--init-checkpoint", "model.ckpt",
+            "--ks", "2", "4", "--n-seeds", "4",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "k,risk_stddev,valid_bleu"
+        assert [line.split(",")[0] for line in lines[1:]] == ["2", "4"]
+        for line in lines[1:]:
+            _, std, bleu = line.split(",")
+            assert float(std) >= 0.0 and 0.0 <= float(bleu) <= 100.0

@@ -155,7 +155,19 @@ class TestBeam:
         cfg, params_list = models(10)
         for params in params_list:
             src = [5, 6, 7]
-            assert beam_decode(params, src, 1, cfg.max_len) == greedy_decode(
+            assert beam_decode(params, src, 1, cfg.max_len) == reference_greedy(
+                params, src, cfg.max_len
+            )
+
+    def test_width_one_equals_greedy_on_criterion_ten_models(self):
+        """Criterion 10's models: greedy_decode is beam_decode of width 1,
+        so compare it with the tape-stepping argmax instead."""
+        cfg = toy_config(tgt_vocab=8, src_vocab_size=8, max_len=8)
+        for seed in range(100):
+            params = noisy_params(cfg, seed=seed, scale=0.8)
+            params["out_b"][EOS] += 5.0
+            src = [4 + (seed % 4), 5, 7 - (seed % 3)]
+            assert beam_decode(params, src, 1, cfg.max_len) == reference_greedy(
                 params, src, cfg.max_len
             )
 
@@ -171,7 +183,7 @@ class TestBeam:
     ):
         cfg = toy_config(tgt_vocab=tgt_vocab, src_vocab_size=8, max_len=max_len)
         params = noisy_params(cfg, seed=seed, scale=1.5)
-        assert beam_decode(params, src, 1, max_len) == greedy_decode(
+        assert beam_decode(params, src, 1, max_len) == reference_greedy(
             params, src, max_len
         )
 
@@ -244,5 +256,5 @@ class TestDecodeCorpus:
         params = params_list[0]
         sources = [[4, 5], [6, 7]]
         assert decode_corpus(params, sources, 1, cfg.max_len) == [
-            greedy_decode(params, s, cfg.max_len) for s in sources
+            reference_greedy(params, s, cfg.max_len) for s in sources
         ]

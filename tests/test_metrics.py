@@ -13,6 +13,7 @@ from riskseq.metrics import (
     corpus_nist,
     corpus_ter,
     delta,
+    info_table_for,
     sentence_bleu_smoothed,
     sentence_nist,
     sentence_ter,
@@ -426,6 +427,12 @@ class TestDelta:
     def test_nist_requires_info_table(self):
         with pytest.raises(MetricError):
             delta(LossKind.NEG_SMOOTHED_NIST, ["a"], ["a"])
+
+    def test_info_table_only_for_nist(self):
+        refs = ["a b a".split(), "b c".split()]
+        assert info_table_for(LossKind.NEG_SMOOTHED_NIST, refs) == build_info_table(refs)
+        assert info_table_for(LossKind.NEG_SMOOTHED_BLEU, refs) is None
+        assert info_table_for(LossKind.SMOOTHED_TER, refs) is None
 
     def test_nist_loss_is_negated(self):
         info = build_info_table(["a b a".split()])

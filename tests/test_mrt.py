@@ -419,6 +419,40 @@ class TestOneDecoderWalk:
         assert mrt_grad(params, src, space, q, report, alpha, memo=memo).tobytes() == expected
         assert mrt_grad(params, src, space, q, report, alpha).tobytes() == expected
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 39), alpha=st.sampled_from([5e-3, 1.0]))
+    def test_repeated_mrt_grad_on_one_memo_byte_equal(self, data, k, alpha):
+        """The first call picks from the memo's own nodes, the second
+        copies every step; both equal the fresh walk's gradient."""
+        params, vocab, seed = random_model(data.draw)
+        src = data.draw(st.lists(st.integers(4, 5), min_size=1, max_size=4))
+        body = data.draw(st.lists(st.integers(4, vocab - 1), min_size=1, max_size=3))
+        gold = tuple(body) + (EOS,)
+        memo = PrefixMemo(params, src, Tape())
+        space = sample_space(
+            params, src, gold, k, 5, np.random.default_rng(seed), memo=memo
+        )
+        losses = [delta(LossKind.SMOOTHED_TER, c, gold) for c in space.candidates]
+        q = q_distribution(space, alpha)
+        report = expected_risk(space, q, losses)
+        expected = reference_mrt_grad(params, src, space, q, report, alpha).tobytes()
+        for _ in range(2):
+            assert mrt_grad(params, src, space, q, report, alpha, memo=memo).tobytes() == expected
+
+    def test_first_target_emits_no_copies(self, toy_model):
+        _, params = toy_model
+        memo = PrefixMemo(params, SRC, Tape())
+        tape = memo.bound.tape
+        for n in range(len(GOLD)):
+            memo.next_logdist(GOLD[:n])
+        stepped = len(tape.nodes)
+        memo.logprob_node(GOLD)
+        # one pick per token, their stack and its sum
+        assert len(tape.nodes) - stepped == len(GOLD) + 2
+        stepped = len(tape.nodes)
+        memo.logprob_node(GOLD)
+        assert len(tape.nodes) - stepped > len(GOLD) + 2
+
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), n_pairs=st.integers(1, 4))
     def test_mle_byte_equal_to_reference(self, data, n_pairs):
