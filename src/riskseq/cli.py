@@ -18,7 +18,7 @@ import numpy as np
 
 from . import data, metrics, mrt, oracle, trainer
 from .data import Corpus, DataError, Vocab
-from .decoder import beam_decode
+from .decoder import DEFAULT_BEAM, beam_decode
 from .diffcore import DiffError, ParamStore
 from .metrics import LossKind, MetricError
 from .model import EOS, ModelConfig, ModelError, check_params, init_params
@@ -447,7 +447,7 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--beam", type=int, default=10)
+    p.add_argument("--beam", type=int, default=DEFAULT_BEAM)
     p.add_argument("--max-len", dest="max_len", type=int, default=None)
     p.add_argument("--src-vocab", required=True)
     p.add_argument("--tgt-vocab", required=True)

@@ -83,7 +83,7 @@ class Corpus:
 
 def read_token_lines(path: str) -> list[list[str]]:
     with open(path, "r", encoding="utf-8") as fh:
-        return [line.split() for line in fh.read().splitlines()]
+        return [line.split() for line in fh]
 
 
 def build_vocab(files: Sequence[str], max_size: int) -> Vocab:

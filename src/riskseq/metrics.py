@@ -163,11 +163,11 @@ def _shift_candidates(hyp: tuple, ref_spans: set):
                 yield rest[:dest] + block + rest[dest:]
 
 
-def sentence_ter(hyp: Tokens, ref: Tokens) -> float:
-    """(shifts + word edits) / |ref| with a greedy best-improvement shift
-    search. Each round takes the shift with the least key (edits after it,
-    block length, start, dest): fewest edits, then the shortest block, the
-    leftmost start and the leftmost destination.
+def _ter_edits(hyp: tuple, ref: tuple) -> int:
+    """Shifts + word edits from stripped ``hyp`` to stripped ``ref`` with a
+    greedy best-improvement shift search. Each round takes the shift with
+    the least key (edits after it, block length, start, dest): fewest edits,
+    then the shortest block, the leftmost start and the leftmost destination.
 
     A shift keeps the token multiset, so no round can leave fewer edits than
     ``bound = max(|hyp|, |ref|) - |multiset(hyp) & multiset(ref)|``.
@@ -175,7 +175,6 @@ def sentence_ter(hyp: Tokens, ref: Tokens) -> float:
     one to reach the bound is the round's best. And from ``bound + 1`` edits
     a shift saves at most the edit it costs, so the search stops there.
     """
-    hyp, ref = _strip(hyp), _strip(ref)
     if not ref:
         raise MetricError("empty reference")
     m = len(ref)
@@ -202,7 +201,13 @@ def sentence_ter(hyp: Tokens, ref: Tokens) -> float:
         shifts += 1
         edits = best_d
         current = best
-    return (shifts + edits) / m
+    return shifts + edits
+
+
+def sentence_ter(hyp: Tokens, ref: Tokens) -> float:
+    """(shifts + word edits) / |ref|; see ``_ter_edits``."""
+    hyp, ref = _strip(hyp), _strip(ref)
+    return _ter_edits(hyp, ref) / len(ref)
 
 
 # -- sentence NIST --------------------------------------------------------
@@ -274,25 +279,30 @@ def delta(
 # -- corpus-level scores --------------------------------------------------
 
 
+def _corpus(hyps: Sequence[Tokens], refs: Sequence[Sequence[Tokens]]):
+    """(hyp, [ref, ...]) per sentence, reserved ids stripped, after checking
+    that the counts match and that every sentence has a reference."""
+    if len(hyps) != len(refs):
+        raise MetricError(
+            f"hypothesis/reference count mismatch: {len(hyps)} vs {len(refs)}"
+        )
+    for hyp, ref_set in zip(hyps, refs):
+        if not ref_set:
+            raise MetricError("sentence without references")
+        yield _strip(hyp), [_strip(r) for r in ref_set]
+
+
 def corpus_bleu(
     hyps: Sequence[Tokens], refs: Sequence[Sequence[Tokens]]
 ) -> float:
     """multi-bleu.perl semantics: corpus-aggregated clipped n-gram
     precisions without smoothing, effective reference length = closest
     reference length per sentence (ties -> shorter), reported x100."""
-    if len(hyps) != len(refs):
-        raise MetricError(
-            f"hypothesis/reference count mismatch: {len(hyps)} vs {len(refs)}"
-        )
     matched = [0] * MAX_NGRAM
     totals = [0] * MAX_NGRAM
     hyp_len = 0
     ref_len = 0
-    for hyp, ref_set in zip(hyps, refs):
-        if not ref_set:
-            raise MetricError("sentence without references")
-        hyp = _strip(hyp)
-        ref_set = [_strip(r) for r in ref_set]
+    for hyp, ref_set in _corpus(hyps, refs):
         hyp_len += len(hyp)
         closest = min(ref_set, key=lambda r: (abs(len(r) - len(hyp)), len(r)))
         ref_len += len(closest)
@@ -307,26 +317,16 @@ def corpus_bleu(
 
 
 def corpus_ter(hyps: Sequence[Tokens], refs: Sequence[Sequence[Tokens]]) -> float:
-    """Total best-reference edits over total matching reference length,
-    reported x100."""
-    if len(hyps) != len(refs):
-        raise MetricError(
-            f"hypothesis/reference count mismatch: {len(hyps)} vs {len(refs)}"
-        )
-    total_edits = 0.0
+    """Total edits over total reference length, reported x100. Each
+    sentence counts the first of its references with the fewest edits."""
+    total_edits = 0
     total_ref = 0
-    for hyp, ref_set in zip(hyps, refs):
-        if not ref_set:
-            raise MetricError("sentence without references")
-        best_edits = None
-        best_len = None
-        for ref in ref_set:
-            stripped = _strip(ref)
-            edits = sentence_ter(hyp, ref) * len(stripped)
-            if best_edits is None or edits < best_edits:
-                best_edits, best_len = edits, len(stripped)
-        total_edits += best_edits
-        total_ref += best_len
+    for hyp, ref_set in _corpus(hyps, refs):
+        edits, ref_len = min(
+            ((_ter_edits(hyp, ref), len(ref)) for ref in ref_set), key=lambda e: e[0]
+        )
+        total_edits += edits
+        total_ref += ref_len
     if total_ref == 0:
         raise MetricError("empty references")
     return 100.0 * total_edits / total_ref
@@ -339,19 +339,11 @@ def corpus_nist(
 ) -> float:
     """Corpus-aggregated information-weighted n-gram matches against the
     first reference, with the NIST brevity factor on total lengths."""
-    if len(hyps) != len(refs):
-        raise MetricError(
-            f"hypothesis/reference count mismatch: {len(hyps)} vs {len(refs)}"
-        )
     gained = [0.0] * MAX_NGRAM
     totals = [0] * MAX_NGRAM
     hyp_len = 0
     ref_len = 0
-    for hyp, ref_set in zip(hyps, refs):
-        if not ref_set:
-            raise MetricError("sentence without references")
-        hyp = _strip(hyp)
-        ref = _strip(ref_set[0])
+    for hyp, (ref, *_) in _corpus(hyps, refs):
         hyp_len += len(hyp)
         ref_len += len(ref)
         for n in range(1, MAX_NGRAM + 1):

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .diffcore import ParamStore, Tape
+from .diffcore import ParamStore, Tape, log_softmax
 from .model import EOS, PrefixMemo, _checked_target
 
 __all__ = [
@@ -181,10 +181,7 @@ def q_distribution(space: SampledSpace, alpha: float) -> QDistribution:
     logprobs = np.asarray(space.logprobs, dtype=np.float64)
     if not np.all(np.isfinite(logprobs)):
         raise MrtError("non-finite candidate log-probabilities")
-    scaled = alpha * logprobs
-    scaled = scaled - scaled.max()
-    weights = np.exp(scaled - np.log(np.exp(scaled).sum()))
-    return QDistribution(weights=weights)
+    return QDistribution(weights=np.exp(log_softmax(alpha * logprobs)))
 
 
 def expected_risk(

@@ -128,15 +128,13 @@ def _clip(grad: np.ndarray, max_norm: float) -> np.ndarray:
     return grad
 
 
-def _mrt_sentence_grad(params, pair, refs, cfg, model_cfg, update, sent_index, info):
-    rng = np.random.default_rng([cfg.seed, update, sent_index])
+def _mrt_sentence_grad(params, pair, cfg, max_len, rng, info):
+    """Expected risk and its gradient for one sentence; each candidate's
+    loss is taken against the sentence's own target."""
     memo = PrefixMemo(params, pair.src, Tape())  # one decoder walk per sentence
-    space = mrt.sample_space(
-        params, pair.src, pair.tgt, cfg.k, model_cfg.max_len, rng, memo=memo
-    )
-    gold = refs[0] if refs else tuple(pair.tgt)
+    space = mrt.sample_space(params, pair.src, pair.tgt, cfg.k, max_len, rng, memo=memo)
     losses = [
-        metrics.delta(cfg.loss_kind, cand, gold, info) for cand in space.candidates
+        metrics.delta(cfg.loss_kind, cand, pair.tgt, info) for cand in space.candidates
     ]
     q = mrt.q_distribution(space, cfg.alpha)
     report = mrt.expected_risk(space, q, losses)
@@ -194,14 +192,12 @@ def train(
                 _mrt_sentence_grad(
                     params,
                     pair,
-                    train_corpus.references[idx] if train_corpus.references else (),
                     cfg,
-                    model_cfg,
-                    update,
-                    s,
+                    model_cfg.max_len,
+                    np.random.default_rng([cfg.seed, update, s]),
                     info,
                 )
-                for s, (idx, pair) in enumerate(zip(batch_idx, batch))
+                for s, pair in enumerate(batch)
             ]
             objective = sum(r for r, _ in results) / len(results)
             grad = sum((g for _, g in results), np.zeros(params.size)) / len(results)

@@ -279,6 +279,20 @@ class TestTrainDecodeEvaluate:
         assert lines[1].startswith("TER = ")
         assert lines[2].startswith("NIST = ")
 
+    def test_decode_writes_one_line_per_input_line(self, trained, workdir, capsys):
+        # U+2028 separates tokens but does not end a line
+        first, second = read_token_lines("task/valid.src")[:2]
+        (workdir / "in.src").write_text(
+            "\u2028".join(first) + "\n" + " ".join(second) + "\n", encoding="utf-8"
+        )
+        code, _, _ = run(
+            capsys, "decode", "--checkpoint", "model.ckpt", "--input", "in.src",
+            "--output", "hyp.txt", "--src-vocab", "task/vocab.txt",
+            "--tgt-vocab", "task/vocab.txt", "--quiet",
+        )
+        assert code == 0
+        assert (workdir / "hyp.txt").read_text(encoding="utf-8").count("\n") == 2
+
     def test_decode_truncated_checkpoint_is_data_error(self, trained, workdir, capsys):
         blob = (workdir / "model.ckpt").read_bytes()
         (workdir / "model.ckpt").write_bytes(blob[: len(blob) // 2])

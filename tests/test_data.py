@@ -174,3 +174,12 @@ class TestReadTokenLines:
         path = tmp_path / "f.txt"
         path.write_text("a  b\tc\n\nd\n")
         assert read_token_lines(str(path)) == [["a", "b", "c"], [], ["d"]]
+
+    @pytest.mark.parametrize(
+        "sep", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_lines_break_only_at_newlines(self, tmp_path, sep):
+        # str.splitlines would also break at these; they separate tokens
+        path = tmp_path / "f.txt"
+        path.write_text(f"a b{sep}c\nd e\n", encoding="utf-8")
+        assert read_token_lines(str(path)) == [["a", "b", "c"], ["d", "e"]]

@@ -63,9 +63,10 @@ def reference_shift_candidates(hyp: tuple, ref: tuple):
                 yield length, start, dest, rest[:dest] + block + rest[dest:]
 
 
-def reference_ter(hyp, ref) -> float:
-    """Greedy best-improvement shift search that scores every candidate
-    with the DP and keeps the smallest (edits, length, start, dest)."""
+def reference_ter_edits(hyp, ref) -> int:
+    """Shifts + edits of a greedy best-improvement shift search that scores
+    every candidate with the DP and keeps the smallest (edits, length,
+    start, dest)."""
     hyp = tuple(t for t in hyp if t not in (PAD, EOS, BOS))
     ref = tuple(t for t in ref if t not in (PAD, EOS, BOS))
     shifts = 0
@@ -85,7 +86,11 @@ def reference_ter(hyp, ref) -> float:
         shifts += 1
         edits = best[0][0]
         current = best[1]
-    return (shifts + edits) / len(ref)
+    return shifts + edits
+
+
+def reference_ter(hyp, ref) -> float:
+    return reference_ter_edits(hyp, ref) / len(_reference_strip(ref))
 
 
 # -- reference BLEU and NIST: one clipped-count loop per function ------------
@@ -243,6 +248,21 @@ def small_vocab_pairs(draw):
     hyp = draw(st.lists(ids, min_size=0, max_size=12))
     ref = draw(st.lists(ids, min_size=1, max_size=12))
     return hyp, ref
+
+
+@st.composite
+def ter_corpora(draw):
+    """1-3 (hyp, refs) over 3-5 content ids, each sentence with 1-3
+    references of differing lengths, so edit counts often tie."""
+    ids = st.integers(4, 3 + draw(st.integers(3, 5)))
+    n = draw(st.integers(1, 3))
+    hyps = [draw(st.lists(ids, min_size=0, max_size=7)) for _ in range(n)]
+    refs = [
+        draw(st.lists(st.lists(ids, min_size=1, max_size=7), min_size=1,
+                      max_size=3, unique_by=len))
+        for _ in range(n)
+    ]
+    return hyps, refs
 
 
 class TestLossKind:
@@ -511,6 +531,32 @@ class TestCorpusTerNist:
         hyps = ["a b".split()]
         refs = [["x y z".split(), "a b".split()]]
         assert corpus_ter(hyps, refs) == 0.0
+
+    def test_corpus_ter_counts_integer_edits(self):
+        # 15 edits on 11 reference words: 15/11 * 11 is not 15 in floats
+        hyp = [f"h{i}" for i in range(15)]
+        ref = [f"r{i}" for i in range(11)]
+        assert corpus_ter([hyp], [[ref]]) == 100 * 15 / 11
+
+    def test_corpus_ter_tie_keeps_first_reference(self):
+        hyp = [f"h{i}" for i in range(15)]
+        refs = [[[f"r{i}" for i in range(9)], [f"r{i}" for i in range(11)]]]
+        assert corpus_ter([hyp], refs) == 100 * 15 / 9
+
+    @given(data=ter_corpora())
+    @settings(max_examples=150, deadline=None)
+    def test_corpus_ter_equals_reference_edit_totals(self, data):
+        hyps, refs = data
+        total_edits = total_len = 0
+        for hyp, ref_set in zip(hyps, refs):
+            best = None
+            for ref in ref_set:
+                edits = reference_ter_edits(hyp, ref)
+                if best is None or edits < best[0]:
+                    best = (edits, len(ref))
+            total_edits += best[0]
+            total_len += best[1]
+        assert corpus_ter(hyps, refs) == 100 * total_edits / total_len
 
     def test_corpus_nist_identity_positive(self):
         refs = [["a b a".split()], ["b a b".split()]]

@@ -218,6 +218,23 @@ class TestBuildSpace:
         assert space.k_requested == 25
 
 
+def reference_q_weights(logprobs, alpha):
+    """Q weights by their own max-shifted log-space normalisation."""
+    scaled = alpha * np.asarray(logprobs, dtype=np.float64)
+    scaled = scaled - scaled.max()
+    return np.exp(scaled - np.log(np.exp(scaled).sum()))
+
+
+@st.composite
+def logprob_arrays(draw):
+    """1-199 candidate log-probabilities, some with a tied maximum."""
+    lp = draw(st.lists(st.floats(-200.0, 0.0), min_size=1, max_size=199))
+    if draw(st.booleans()):
+        lp.append(max(lp))
+        lp = draw(st.permutations(lp))
+    return lp
+
+
 class TestQDistribution:
     def _space(self, logprobs):
         lp = np.asarray(logprobs, dtype=np.float64)
@@ -251,6 +268,12 @@ class TestQDistribution:
     def test_alpha_must_be_positive(self):
         with pytest.raises(MrtError):
             q_distribution(self._space([-1.0]), alpha=0.0)
+
+    @given(lp=logprob_arrays(), alpha=st.floats(1e-4, 3.0))
+    @settings(max_examples=300, deadline=None)
+    def test_weights_equal_reference_bits(self, lp, alpha):
+        q = q_distribution(self._space(lp), alpha)
+        assert q.weights.tobytes() == reference_q_weights(lp, alpha).tobytes()
 
     def test_extreme_logprobs_stay_finite(self):
         q = q_distribution(self._space([-1e6, -2e6, -5.0]), alpha=1.0)

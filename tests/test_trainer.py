@@ -186,6 +186,21 @@ class TestTrainMrt:
         b = train(tc, cfg, corpus, None, start).final_params.flat()
         assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("loss_kind", ["neg_sbleu", "ster", "neg_snist"])
+    def test_losses_compare_with_the_target_not_the_references(self, loss_kind):
+        # References serve validation only: an update is the same whatever
+        # references the training corpus carries.
+        cfg = toy_config()
+        corpus = tiny_corpus(n=6)
+        other = Corpus(name="other", pairs=corpus.pairs,
+                       references=[[(5, 5, 4, 4, 5)] for _ in corpus.pairs])
+        start = noisy_params(cfg, seed=3)
+        tc = TrainConfig(criterion="mrt", batch_size=3, max_updates=2,
+                         eval_every=0, k=8, seed=1, loss_kind=loss_kind)
+        a = train(tc, cfg, corpus, None, start).final_params.flat()
+        b = train(tc, cfg, other, None, start).final_params.flat()
+        assert a.tobytes() == b.tobytes()
+
     def test_one_encode_and_one_step_per_distinct_prefix(self, monkeypatch):
         # Sampling, rescoring and the gradient of one sentence share one
         # recorded decoder walk.
@@ -213,7 +228,8 @@ class TestTrainMrt:
         monkeypatch.setattr(mrt, "sample_space", kept_space)
         pair = SentencePair(src=[4, 5, 4], tgt=[5, 4, 5, EOS])
         train_cfg = TrainConfig(criterion="mrt", k=30, alpha=0.5, allow_random_init=True)
-        _, grad = _mrt_sentence_grad(params, pair, [], train_cfg, cfg, 1, 0, None)
+        rng = np.random.default_rng([0, 1, 0])
+        _, grad = _mrt_sentence_grad(params, pair, train_cfg, cfg.max_len, rng, None)
         (space,) = spaces
         prefixes = {c[:n] for c in space.candidates for n in range(len(c))}
         assert len(space) > 2 and grad.any()
