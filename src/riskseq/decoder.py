@@ -5,12 +5,16 @@ finished hypotheses retire into a completed pool and the final answer is
 the completed hypothesis with the best length-normalized score (ties go
 to the lexicographically smallest token sequence). PAD and BOS are never
 proposed as output tokens. The search steps the decoder through one
-``model.PrefixMemo`` per sentence.
+``model.PrefixMemo`` per sentence: each iteration steps every live
+hypothesis as one row batch (``PrefixMemo.next_logdists``), and selects
+from the flattened (live, token) scores.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
+
+import numpy as np
 
 from .diffcore import ParamStore
 from .model import BOS, EOS, PAD, PrefixMemo
@@ -39,6 +43,9 @@ def beam_decode(
     if max_len < 1:
         raise ValueError(f"length limit must be >= 1, got {max_len}")
     memo = PrefixMemo(params, src)
+    # every token but PAD and BOS is proposed, even one of log-prob -inf
+    proposed = [tok for tok in range(memo.bound.tgt_vocab_size) if tok not in (PAD, BOS)]
+    columns, n = np.array(proposed), len(proposed)
 
     # a hypothesis is (tokens, logprob); the memo holds its decoder state
     live: list[tuple[tuple[int, ...], float]] = [((), 0.0)]
@@ -50,12 +57,21 @@ def beam_decode(
     for _ in range(max_len):
         if not live:
             break
-        expansions = []
-        for tokens, lp in live:
-            for tok, logp in enumerate(memo.next_logdist(tokens).tolist()):
-                if tok != PAD and tok != BOS:
-                    expansions.append((tokens + (tok,), lp + logp))
-        expansions.sort(key=lambda h: (-h[1], h[0]))
+        logdists = memo.next_logdists([tokens for tokens, _ in live])
+        lps = np.array([lp for _, lp in live])
+        scores = (lps[:, None] + logdists[:, columns]).ravel()
+        # Only entries that tie or beat the width-th best can be kept.
+        kept = np.arange(scores.size)
+        if scores.size > width:
+            kth = scores.size - width
+            kept = np.flatnonzero(scores >= np.partition(scores, kth)[kth])
+        expansions = sorted(
+            (
+                (live[i // n][0] + (proposed[i % n],), lp)
+                for i, lp in zip(kept.tolist(), scores[kept].tolist())
+            ),
+            key=lambda h: (-h[1], h[0]),
+        )
         live = []
         for tokens, lp in expansions[:width]:
             if tokens[-1] == EOS:

@@ -191,11 +191,14 @@ class Tape:
             value, (a,), lambda g: (g - sm * np.sum(g, axis=-1, keepdims=True),)
         )
 
-    def lookup(self, table: Node, index: int) -> Node:
-        """Row selection from a 2-D table (embedding lookup)."""
+    def lookup(self, table: Node, index: int | np.ndarray) -> Node:
+        """Row selection from a 2-D table (embedding lookup). A
+        non-recording tape also takes a vector of indices, one row each."""
         tv = table.value
         if tv.ndim != 2:
             raise ShapeMismatchError("lookup", tv.shape, (index,))
+        if not self.record:
+            return self.emit(tv[index])
         index = int(index)
 
         def vjp(g):

@@ -6,7 +6,10 @@ The per-step readout is tanh of an affine map of [previous embedding,
 decoder state, attention context] followed by a linear output projection.
 
 All weight matrices are stored (in_dim, out_dim) and applied as x @ W so
-the tape only ever needs vector-matrix products.
+the tape only ever needs vector-matrix products. A non-recording decoder
+step also takes a batch of rows (B token ids, (B, H) states). Its products
+go through ``_vm``, whose stacked form makes one gemv call per row, the
+call a single row makes, so every row keeps the bits of stepping it alone.
 
 A GRU step, the attention and the readout are each one fused tape node
 (see ``diffcore``). Their forwards run the numpy calls of the primitive
@@ -152,6 +155,21 @@ def check_params(store: ParamStore, cfg: ModelConfig) -> None:
         )
 
 
+def _rows_vm(X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """``x @ W`` for each row x of X. numpy's matmul makes one gemv call per
+    stacked item whose row dimension is 1, the call a 1-D ``x @ W`` makes,
+    so each row keeps its bits; the 2-D ``X @ W`` would be one gemm,
+    summing in another order."""
+    return np.matmul(X[..., None, :], W)[..., 0, :]
+
+
+def _vm(x: np.ndarray):
+    """The vector-matrix product for x's shape: plain ``np.matmul`` (what
+    ``x @ W`` calls) for one row, ``_rows_vm`` for stacked rows. A fused
+    node chooses once, so one row's products cost what ``@`` costs."""
+    return np.matmul if x.ndim == 1 else _rows_vm
+
+
 @dataclass
 class Annotations:
     """Per-source-position encoder states (forward||backward concatenation),
@@ -161,15 +179,10 @@ class Annotations:
     attn_proj: Node      # (M, A)
     bwd_first: Node      # (H,) backward state at position 0, seeds the decoder
 
-    @property
-    def length(self) -> int:
-        return self.matrix.value.shape[0]
-
 
 @dataclass
 class StepState:
-    z: Node                    # decoder hidden state
-    attn_weights: Node | None  # distribution over source positions
+    z: Node  # decoder hidden state, (H,) or one row per stepped prefix
 
 
 class BoundModel:
@@ -193,10 +206,11 @@ class BoundModel:
             for name in ("Wz", "Uz", "bz", "Wr", "Ur", "br", "Wh", "Uh", "bh")
         )
         xv, hv = x.value, h.value
-        z = sigmoid(xv @ Wz.value + hv @ Uz.value + bz.value)
-        r = sigmoid(xv @ Wr.value + hv @ Ur.value + br.value)
+        vm = _vm(xv)
+        z = sigmoid(vm(xv, Wz.value) + vm(hv, Uz.value) + bz.value)
+        r = sigmoid(vm(xv, Wr.value) + vm(hv, Ur.value) + br.value)
         rh = r * hv
-        hbar = np.tanh(xv @ Wh.value + rh @ Uh.value + bh.value)
+        hbar = np.tanh(vm(xv, Wh.value) + vm(rh, Uh.value) + bh.value)
         keep = 1.0 - z  # bit-equal to 1 + z * -1.0
 
         def vjp(g):
@@ -253,14 +267,18 @@ class BoundModel:
     def initial_state(self, ann: Annotations) -> StepState:
         t, p = self.tape, self.pn
         z0 = t.tanh(t.add(t.matmul(ann.bwd_first, p["dec_init_W"]), p["dec_init_b"]))
-        return StepState(z=z0, attn_weights=None)
+        return StepState(z=z0)
 
-    def _attend(self, z: Node, ann: Annotations) -> tuple[Node, Node]:
-        """Attention weights softmax(tanh(attn_proj + z attn_W) attn_v) as
-        an unrecorded node, and the context (weights @ matrix)."""
+    def _attend(self, z: Node, ann: Annotations) -> Node:
+        """The context weights @ matrix, with attention weights
+        softmax(tanh(attn_proj + z attn_W) attn_v). Rows of z give an
+        (M, A) e per row, and ``e @ v`` is one gemv call per row."""
         W, v = self.pn["attn_W"], self.pn["attn_v"]
-        matrix, proj = ann.matrix, ann.attn_proj
-        e = np.tanh(proj.value + z.value @ W.value)
+        matrix, proj, vm = ann.matrix, ann.attn_proj, _vm(z.value)
+        zW = vm(z.value, W.value)
+        if zW.ndim > 1:  # one row per z row, broadcast over the M positions
+            zW = zW[:, None, :]
+        e = np.tanh(proj.value + zW)
         weights = np.exp(log_softmax(e @ v.value))
 
         def vjp(g):
@@ -273,18 +291,18 @@ class BoundModel:
                 dze @ W.value.T, z.value[:, None] * dze,
             )
 
-        context = self.tape.emit(
-            weights @ matrix.value, (matrix, v, proj, z, W), vjp
+        return self.tape.emit(
+            vm(weights, matrix.value), (matrix, v, proj, z, W), vjp
         )
-        return Node(weights), context
 
     def _readout(self, emb: Node, z_new: Node, context: Node) -> Node:
         """Logits tanh([emb, z_new, context] read_W + read_b) out_W + out_b."""
         p = self.pn
         rW, rb, oW, ob = p["read_W"], p["read_b"], p["out_W"], p["out_b"]
-        c = np.concatenate([emb.value, z_new.value, context.value], axis=0)
-        readout = np.tanh(c @ rW.value + rb.value)
-        lo, hi = emb.value.shape[0], emb.value.shape[0] + z_new.value.shape[0]
+        c = np.concatenate([emb.value, z_new.value, context.value], axis=-1)
+        vm = _vm(c)
+        readout = np.tanh(vm(c, rW.value) + rb.value)
+        lo, hi = emb.value.shape[-1], emb.value.shape[-1] + z_new.value.shape[-1]
 
         def vjp(g):
             dsum = (g @ oW.value.T) * (1.0 - readout * readout)
@@ -295,35 +313,48 @@ class BoundModel:
             )
 
         parents = (ob, oW, rb, rW, emb, z_new, context)
-        return self.tape.emit(readout @ oW.value + ob.value, parents, vjp)
+        return self.tape.emit(vm(readout, oW.value) + ob.value, parents, vjp)
 
     def step_logits(
-        self, prev_word: int, state: StepState, ann: Annotations
+        self, prev_word: int | np.ndarray, state: StepState, ann: Annotations
     ) -> tuple[Node, StepState]:
+        """Logits of the token after ``prev_word`` and the state after it.
+        On a non-recording tape, ``prev_word`` may be a vector of B token
+        ids with ``state.z`` holding B rows; logits and state then hold B
+        rows, each byte-equal to stepping that row alone."""
         t, p = self.tape, self.pn
-        if not 0 <= prev_word < self.tgt_vocab_size:
+        if isinstance(prev_word, np.ndarray):
+            if t.record:
+                raise DiffError("a recording tape steps one row at a time")
+            bad = prev_word[(prev_word < 0) | (prev_word >= self.tgt_vocab_size)]
+            if bad.size:
+                raise ModelError(f"target token id {bad[0]} out of range")
+        elif not 0 <= prev_word < self.tgt_vocab_size:
             raise ModelError(f"target token id {prev_word} out of range")
         emb = t.lookup(p["tgt_embed"], prev_word)
-        weights, context = self._attend(state.z, ann)
-        z_new = self._gru_step("dec", t.concat([emb, context]), state.z)
+        context = self._attend(state.z, ann)
+        x = t.concat([emb, context], axis=emb.value.ndim - 1)
+        z_new = self._gru_step("dec", x, state.z)
         logits = self._readout(emb, z_new, context)
-        return logits, StepState(z=z_new, attn_weights=weights)
+        return logits, StepState(z=z_new)
 
 
 class PrefixMemo:
     """Decoder steps for one source, memoised by target prefix.
 
     ``next_logdist(prefix)`` is the log-distribution of the token after
-    ``prefix``. The source is encoded once, and each distinct prefix costs
-    one ``step_logits`` call however many callers share it. The values are
-    those of stepping the model afresh: the same primitives run on the same
-    inputs. Sampling, rescoring, scoring and decoding step the decoder
-    through a memo on its default non-recording tape. Training passes a
-    recording ``tape``; each prefix then also keeps the nodes its step
-    emitted (the empty prefix, ``initial_state``'s too), which
-    ``logprob_node`` picks from for the first target it scores and re-emits
-    for every later one. The oracle's enumeration keeps its own walk as an
-    independent reference.
+    ``prefix``. The source is encoded once, and each distinct prefix is
+    stepped once however many callers share it. The values are those of
+    stepping the model afresh: the same primitives run on the same inputs.
+    Sampling, rescoring, scoring and decoding step the decoder through a
+    memo on its default non-recording tape; there ``next_logdists`` steps
+    several new prefixes as one row batch, one ``step_logits`` call, and
+    each row keeps the bits of stepping its prefix alone. Training passes a
+    recording ``tape``, which steps one row at a time; each prefix then
+    also keeps the nodes its step emitted (the empty prefix,
+    ``initial_state``'s too), which ``logprob_node`` picks from for the
+    first target it scores and re-emits for every later one. The oracle's
+    enumeration keeps its own walk as an independent reference.
     """
 
     def __init__(self, params: ParamStore, src: Sequence[int], tape: Tape | None = None):
@@ -350,6 +381,30 @@ class PrefixMemo:
             entry = (bound.tape.log_softmax(logits).value, new_state, bound.tape.nodes[start:])
             self._steps[prefix] = entry
         return entry[0]
+
+    def next_logdists(self, prefixes: Sequence[tuple[int, ...]]) -> np.ndarray:
+        """``next_logdist`` of each prefix, as the rows of one (B, V) array.
+        The prefixes not yet memoised are stepped as one row batch; each
+        one's parent (``prefix[:-1]``) must be memoised already, unless it
+        is the empty prefix. Non-recording memos only."""
+        bound = self.bound
+        if bound.tape.record:
+            raise DiffError("next_logdists needs a memo on a non-recording tape")
+        new = [p for p in dict.fromkeys(prefixes) if p not in self._steps]
+        if new:
+            states = [
+                self._steps[p[:-1]][1].z.value if p else
+                bound.initial_state(self.ann).z.value
+                for p in new
+            ]
+            prev = np.array([p[-1] if p else BOS for p in new])
+            logits, state = bound.step_logits(
+                prev, StepState(z=Node(np.stack(states))), self.ann
+            )
+            logdists, z = log_softmax(logits.value), state.z.value
+            for i, p in enumerate(new):
+                self._steps[p] = (logdists[i], StepState(z=Node(z[i])), [])
+        return np.stack([self._steps[p][0] for p in prefixes])
 
     def logprob(self, tgt: Sequence[int]) -> tuple[float, list[float]]:
         """Total and per-token log P(tgt | src), the total reduced as

@@ -96,11 +96,14 @@ def sample_trajectories(
     if k < 1 or max_len < 1:
         raise MrtError("k and the length limit must be >= 1")
     memo = _memo_for(params, src, memo)
+    cdfs: dict[tuple[int, ...], np.ndarray] = {}  # prefix -> next token's CDF
     out: list[tuple[int, ...]] = []
     for _ in range(k):
         prefix: tuple[int, ...] = ()
         for _ in range(max_len):
-            cdf = np.cumsum(np.exp(memo.next_logdist(prefix)))
+            cdf = cdfs.get(prefix)
+            if cdf is None:
+                cdf = cdfs[prefix] = np.cumsum(np.exp(memo.next_logdist(prefix)))
             tok = int(np.searchsorted(cdf, rng.random(), side="right"))
             tok = min(tok, len(cdf) - 1)
             prefix += (tok,)

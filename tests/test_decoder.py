@@ -104,32 +104,37 @@ class TestMatchesTapeStepping:
             params, src, width, max_len, length_normalize
         ) == reference_beam(params, src, width, max_len, length_normalize)
 
-    def test_one_encode_and_one_step_per_expanded_prefix(self, monkeypatch):
+    def test_one_encode_and_one_row_batched_step_per_iteration(self, monkeypatch):
+        """One encode; then each beam iteration makes one step call with
+        one row per live hypothesis, and no prefix is stepped twice."""
         _, params_list = models(1)
-        calls = {"encode": 0, "step": 0}
-        expanded = []
+        encodes, rows, batches = [], [], []
         encode, step = BoundModel.encode, BoundModel.step_logits
-        next_logdist = PrefixMemo.next_logdist
+        next_logdists = PrefixMemo.next_logdists
 
         def counting_encode(self, src):
-            calls["encode"] += 1
+            encodes.append(src)
             return encode(self, src)
 
         def counting_step(self, prev, state, ann):
-            calls["step"] += 1
+            rows.append((len(prev), len(state.z.value)))
             return step(self, prev, state, ann)
 
-        def recording_next_logdist(self, prefix):
-            expanded.append(prefix)
-            return next_logdist(self, prefix)
+        def recording_next_logdists(self, prefixes):
+            batches.append(list(prefixes))
+            return next_logdists(self, prefixes)
 
         monkeypatch.setattr(BoundModel, "encode", counting_encode)
         monkeypatch.setattr(BoundModel, "step_logits", counting_step)
-        monkeypatch.setattr(PrefixMemo, "next_logdist", recording_next_logdist)
+        monkeypatch.setattr(PrefixMemo, "next_logdists", recording_next_logdists)
         beam_decode(params_list[0], [4, 5, 6], 4, 6)
-        assert len(expanded) > 4
-        assert len(set(expanded)) == len(expanded)
-        assert calls == {"encode": 1, "step": len(expanded)}
+        stepped = [prefix for batch in batches for prefix in batch]
+        assert len(encodes) == 1
+        assert len(batches) > 2 and max(map(len, batches)) == 4
+        # iteration d steps the live hypotheses, all d tokens long
+        assert all(len(p) == d for d, batch in enumerate(batches) for p in batch)
+        assert rows == [(len(batch), len(batch)) for batch in batches]
+        assert len(set(stepped)) == len(stepped)
 
 
 class TestGreedy:

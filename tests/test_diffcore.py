@@ -224,7 +224,7 @@ class TestBackward:
             elif node == "attend":
                 ann = Annotations(matrix=p["matrix"], attn_proj=p["proj"],
                                   bwd_first=p["h"])
-                out = bound._attend(p["h"], ann)[1]
+                out = bound._attend(p["h"], ann)
             else:
                 out = bound._readout(p["emb"], p["h"], p["ctx"])
             mix = t.const(np.linspace(-1.0, 1.5, weights[node]))

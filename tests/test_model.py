@@ -1,5 +1,9 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -8,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_logprob_nodes
-from riskseq.diffcore import ParamStore, Tape
+from riskseq.diffcore import DiffError, Node, ParamStore, Tape
 from riskseq.model import (
     BOS,
     EOS,
@@ -17,6 +21,8 @@ from riskseq.model import (
     ModelConfig,
     ModelError,
     PrefixMemo,
+    StepState,
+    _vm,
     check_params,
     init_params,
     load_model,
@@ -59,8 +65,7 @@ def per_op_attend(self, z, ann):
     e = t.tanh(t.add(ann.attn_proj, t.matmul(z, p["attn_W"])))
     scores = t.matmul(e, p["attn_v"])
     weights = t.softmax(scores)
-    context = t.matmul(weights, ann.matrix)
-    return weights, context
+    return t.matmul(weights, ann.matrix)
 
 
 def per_op_readout(self, emb, z_new, context):
@@ -164,13 +169,13 @@ class TestEncode:
         cfg, params = tiny
         bound = BoundModel(params, Tape(record=False))
         ann = bound.encode([4, 5, 6])
-        assert ann.length == 3
         assert ann.matrix.value.shape == (3, 2 * cfg.hidden_dim)
 
     def test_trailing_pad_stripped(self, tiny):
-        _, params = tiny
+        cfg, params = tiny
         bound = BoundModel(params, Tape(record=False))
-        assert bound.encode([4, 5, PAD, PAD]).length == 2
+        ann = bound.encode([4, 5, PAD, PAD])
+        assert ann.matrix.value.shape == (2, 2 * cfg.hidden_dim)
 
     def test_interior_pad_rejected(self, tiny):
         _, params = tiny
@@ -202,14 +207,15 @@ class TestDecodeStep:
         assert math.isclose(dist.value.sum(), 1.0, abs_tol=1e-12)
         assert np.all(dist.value > 0)
 
-    def test_attention_weights_normalized(self, tiny):
-        _, params = tiny
+    def test_state_is_one_bounded_hidden_vector(self, tiny):
+        cfg, params = tiny
         bound = BoundModel(params, Tape(record=False))
         ann = bound.encode([4, 5, 6])
         _, state = bound.step_logits(BOS, bound.initial_state(ann), ann)
-        w = state.attn_weights.value
-        assert w.shape == (3,)
-        assert math.isclose(w.sum(), 1.0, abs_tol=1e-12)
+        z = state.z.value
+        assert z.shape == (cfg.hidden_dim,)
+        # a GRU state mixes the previous state and a tanh, both in (-1, 1)
+        assert np.all(np.abs(z) < 1.0)
 
     def test_zero_output_projection_gives_exactly_uniform(self, tiny):
         cfg, params = tiny
@@ -290,14 +296,14 @@ class TestSequenceLogprob:
 
 
 def forward_values(params, src, tgt, record):
-    """Annotations, then logits, state and attention weights per step."""
+    """Annotations, then logits and state per step."""
     bound = BoundModel(params, Tape(record=record))
     ann = bound.encode(src)
     out = [ann.matrix.value, ann.attn_proj.value, ann.bwd_first.value]
     state, prev = bound.initial_state(ann), BOS
     for tok in tgt:
         logits, state = bound.step_logits(prev, state, ann)
-        out += [logits.value, state.z.value, state.attn_weights.value]
+        out += [logits.value, state.z.value]
         prev = tok
     return [v.tobytes() for v in out]
 
@@ -352,6 +358,97 @@ class TestFusedNodes:
         before = len(nodes)
         bound.step_logits(BOS, state, ann)
         assert len(nodes) - before <= 5
+
+
+class TestRowBatchedSteps:
+    @given(
+        seed=st.integers(0, 10**6),
+        rows=st.integers(1, 12),
+        positions=st.integers(1, 12),
+        dims=st.tuples(
+            st.integers(1, 40), st.integers(1, 80), st.integers(1, 40), st.integers(4, 40)
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_products_equal_one_d_products(self, seed, rows, positions, dims):
+        """Each product form of a decoder step, at a model's shapes and
+        stacked over rows, equals the 1-D product row by row, byte for
+        byte. This rests on numpy's matmul making one gemv call per stacked
+        item whose row dimension is 1, the same call a 1-D ``x @ W`` or
+        ``e @ v`` makes; a 2-D ``X @ W`` is one gemm and sums in another
+        order. A numpy or BLAS that dispatches otherwise fails here first."""
+        E, H, A, V = dims
+        rng = np.random.default_rng(seed)
+        # GRU x and h products, attention z @ W and weights @ matrix, readout
+        for n, m in ((E + 2 * H, H), (H, H), (H, A), (positions, 2 * H),
+                     (E + 3 * H, H), (H, V)):
+            X, W = rng.normal(size=(rows, n)), rng.normal(size=(n, m))
+            assert _vm(X[0])(X[0], W).tobytes() == (X[0] @ W).tobytes()
+            assert _vm(X)(X, W).tobytes() == np.stack([x @ W for x in X]).tobytes()
+        e, v = rng.normal(size=(rows, positions, A)), rng.normal(size=A)
+        assert (e @ v).tobytes() == np.stack([m @ v for m in e]).tobytes()
+
+    def test_stacked_products_equal_with_two_blas_threads(self, tmp_path):
+        tests_dir = Path(__file__).resolve().parent
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(tests_dir.parent / "src"), str(tests_dir),
+                        os.environ.get("PYTHONPATH")) if p
+        )
+        script = ("from test_model import TestRowBatchedSteps as T\n"
+                  "T().test_stacked_products_equal_one_d_products()\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, cwd=tmp_path,
+            capture_output=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+
+    @given(
+        seed=st.integers(0, 10**6),
+        dims=st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8)),
+        vocab=st.integers(4, 10),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_batched_rows_equal_fresh_next_logdist(self, seed, dims, vocab, data):
+        E, H, A = dims
+        params = init_params(ModelConfig(vocab, vocab, E, H, A), seed)
+        rng = np.random.default_rng(seed)
+        params.set_flat(params.flat() + rng.normal(size=params.size))
+        src = data.draw(st.lists(st.integers(1, vocab - 1), min_size=1, max_size=6))
+        memo, fresh = PrefixMemo(params, src), PrefixMemo(params, src)
+        prefixes = [()]
+        for _ in range(data.draw(st.integers(1, 4))):
+            # the empty prefix again: duplicates and memoised rows mix in
+            asked = prefixes + [()]
+            rows = memo.next_logdists(asked)
+            assert rows.shape == (len(asked), vocab)
+            for prefix, row in zip(asked, rows):
+                assert row.tobytes() == fresh.next_logdist(prefix).tobytes()
+            children = data.draw(st.lists(
+                st.tuples(st.sampled_from(prefixes), st.integers(0, vocab - 1)),
+                min_size=1, max_size=10, unique=True,
+            ))
+            prefixes = [prefix + (tok,) for prefix, tok in children]
+
+    def test_recording_tape_steps_one_row(self, tiny):
+        _, params = tiny
+        with pytest.raises(DiffError, match="non-recording"):
+            PrefixMemo(params, [4, 5], Tape()).next_logdists([()])
+        bound = BoundModel(params, Tape())
+        ann = bound.encode([4, 5])
+        z = bound.initial_state(ann).z
+        with pytest.raises(DiffError, match="one row"):
+            bound.step_logits(np.array([BOS]), StepState(z=z), ann)
+
+    def test_out_of_range_row_token_rejected(self, tiny):
+        _, params = tiny
+        bound = BoundModel(params, Tape(record=False))
+        ann = bound.encode([4, 5])
+        z = bound.initial_state(ann).z.value
+        state = StepState(z=Node(np.stack([z, z])))
+        with pytest.raises(ModelError, match="token id 7 out of range"):
+            bound.step_logits(np.array([BOS, 7]), state, ann)
 
 
 class TestCheckpoint:
