@@ -213,7 +213,7 @@ def cmd_decode(args) -> int:
     if max_len < 1:
         raise DataError(f"length limit must be >= 1, got {max_len}")
     lines = []
-    for words in data.read_token_lines(args.input):
+    for words in data.read_token_lines(args.input, nonempty=True):
         out = beam_decode(params, src_vocab.encode(words), args.beam, max_len)
         lines.append(" ".join(tgt_vocab.decode([t for t in out if t != EOS])))
     _write_lines(args.output, lines)
@@ -244,8 +244,8 @@ def cmd_evaluate(args) -> int:
 def cmd_sample(args) -> int:
     params, model_cfg, src_vocab, tgt_vocab = _load_checkpoint(args)
     kind = LossKind.parse(args.loss)
-    srcs = data.read_token_lines(args.input)
-    golds = data.read_token_lines(args.gold)
+    srcs = data.read_token_lines(args.input, nonempty=True)
+    golds = data.read_token_lines(args.gold, nonempty=True)
     if len(srcs) != len(golds):
         raise DataError(f"{len(srcs)} source lines vs {len(golds)} gold lines")
     info = metrics.info_table_for(kind, [tgt_vocab.encode(g) for g in golds])
@@ -271,6 +271,8 @@ def cmd_oracle(args) -> int:
     seed = args.seed
     if args.vocab < 5:
         raise DataError(f"--vocab must be >= 5 (one content token), got {args.vocab}")
+    if args.max_len < 3:
+        raise DataError(f"--max-len must be >= 3 (2 gold tokens + EOS), got {args.max_len}")
     if min(args.ks) < 1:
         raise DataError(f"--ks must all be >= 1, got {min(args.ks)}")
     if not args.alpha > 0:

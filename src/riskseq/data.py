@@ -81,9 +81,13 @@ class Corpus:
         return len(self.pairs)
 
 
-def read_token_lines(path: str) -> list[list[str]]:
+def read_token_lines(path: str, nonempty: bool = False) -> list[list[str]]:
     with open(path, "r", encoding="utf-8") as fh:
-        return [line.split() for line in fh]
+        lines = [line.split() for line in fh]
+    for n, words in enumerate(lines, 1):
+        if nonempty and not words:
+            raise DataError(f"{path}: line {n} is empty")
+    return lines
 
 
 def build_vocab(files: Sequence[str], max_size: int) -> Vocab:
@@ -116,8 +120,8 @@ def load_parallel(
     either side longer than max_len are filtered (count logged). Each kept
     pair's references are its target, or its lines of ``ref_files``, which
     must be aligned with the source line by line."""
-    src_lines = read_token_lines(src_file)
-    tgt_lines = read_token_lines(tgt_file)
+    src_lines = read_token_lines(src_file, nonempty=True)
+    tgt_lines = read_token_lines(tgt_file, nonempty=True)
     if len(src_lines) != len(tgt_lines):
         raise DataError(
             f"line-count mismatch: {len(src_lines)} source lines "
@@ -134,8 +138,6 @@ def load_parallel(
     references = []
     filtered = 0
     for i, (src_words, tgt_words) in enumerate(zip(src_lines, tgt_lines)):
-        if not src_words or not tgt_words:
-            raise DataError("empty sentence in parallel corpus")
         if len(src_words) > max_len or len(tgt_words) + 1 > max_len:
             filtered += 1
             continue

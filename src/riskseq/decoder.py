@@ -4,10 +4,10 @@ Beam search keeps the top-width expansions by accumulated log-prob;
 finished hypotheses retire into a completed pool and the final answer is
 the completed hypothesis with the best length-normalized score (ties go
 to the lexicographically smallest token sequence). PAD and BOS are never
-proposed as output tokens. The search steps the decoder through one
-``model.PrefixMemo`` per sentence: each iteration steps every live
-hypothesis as one row batch (``PrefixMemo.next_logdists``), and selects
-from the flattened (live, token) scores.
+proposed as output tokens. The search encodes the source once and keeps
+one decoder-state row per live hypothesis: each iteration steps them all
+as one row batch (one ``BoundModel.step_logits`` call), selects from the
+flattened (live, token) scores, and keeps the kept hypotheses' new rows.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .diffcore import ParamStore
-from .model import BOS, EOS, PAD, PrefixMemo
+from .diffcore import Node, ParamStore, Tape, log_softmax
+from .model import BOS, EOS, PAD, BoundModel
 
 __all__ = ["greedy_decode", "beam_decode", "decode_corpus", "DEFAULT_BEAM"]
 
@@ -42,14 +42,16 @@ def beam_decode(
         raise ValueError(f"beam width must be >= 1, got {width}")
     if max_len < 1:
         raise ValueError(f"length limit must be >= 1, got {max_len}")
-    memo = PrefixMemo(params, src)
+    bound = BoundModel(params, Tape(record=False))
+    ann = bound.encode(src)
     # every token but PAD and BOS is proposed, even one of log-prob -inf
-    proposed = [tok for tok in range(memo.bound.tgt_vocab_size) if tok not in (PAD, BOS)]
+    proposed = [tok for tok in range(bound.tgt_vocab_size) if tok not in (PAD, BOS)]
     columns, n = np.array(proposed), len(proposed)
 
-    # a hypothesis is (tokens, logprob); the memo holds its decoder state
+    # a hypothesis is (tokens, logprob); row i of z is live[i]'s decoder state
     live: list[tuple[tuple[int, ...], float]] = [((), 0.0)]
     completed: list[tuple[tuple[int, ...], float]] = []
+    z = Node(bound.initial_state(ann).value[None])
 
     def norm_score(tokens, lp):
         return lp / len(tokens) if length_normalize else lp
@@ -57,7 +59,9 @@ def beam_decode(
     for _ in range(max_len):
         if not live:
             break
-        logdists = memo.next_logdists([tokens for tokens, _ in live])
+        prev = np.array([tokens[-1] if tokens else BOS for tokens, _ in live])
+        logits, z = bound.step_logits(prev, z, ann)
+        logdists = log_softmax(logits.value)
         lps = np.array([lp for _, lp in live])
         scores = (lps[:, None] + logdists[:, columns]).ravel()
         # Only entries that tie or beat the width-th best can be kept.
@@ -67,17 +71,19 @@ def beam_decode(
             kept = np.flatnonzero(scores >= np.partition(scores, kth)[kth])
         expansions = sorted(
             (
-                (live[i // n][0] + (proposed[i % n],), lp)
+                (live[i // n][0] + (proposed[i % n],), lp, i // n)
                 for i, lp in zip(kept.tolist(), scores[kept].tolist())
             ),
             key=lambda h: (-h[1], h[0]),
         )
-        live = []
-        for tokens, lp in expansions[:width]:
+        live, rows = [], []
+        for tokens, lp, row in expansions[:width]:
             if tokens[-1] == EOS:
                 completed.append((tokens, lp))
             else:
                 live.append((tokens, lp))
+                rows.append(row)
+        z = Node(z.value[rows])
         if completed and live:
             best_done = max(norm_score(t, lp) for t, lp in completed)
             # Future steps only lower the raw score; bound the best

@@ -7,9 +7,10 @@ decoder state, attention context] followed by a linear output projection.
 
 All weight matrices are stored (in_dim, out_dim) and applied as x @ W so
 the tape only ever needs vector-matrix products. A non-recording decoder
-step also takes a batch of rows (B token ids, (B, H) states). Its products
-go through ``_vm``, whose stacked form makes one gemv call per row, the
-call a single row makes, so every row keeps the bits of stepping it alone.
+step also takes a batch of rows (B token ids, (B, H) states); beam search
+steps its live hypotheses so. Its products go through ``_vm``, whose
+stacked form makes one gemv call per row, the call a single row makes, so
+every row keeps the bits of stepping it alone.
 
 A GRU step, the attention and the readout are each one fused tape node
 (see ``diffcore``). Their forwards run the numpy calls of the primitive
@@ -38,7 +39,6 @@ __all__ = [
     "ModelConfig",
     "ModelError",
     "Annotations",
-    "StepState",
     "BoundModel",
     "PrefixMemo",
     "init_params",
@@ -180,11 +180,6 @@ class Annotations:
     bwd_first: Node      # (H,) backward state at position 0, seeds the decoder
 
 
-@dataclass
-class StepState:
-    z: Node  # decoder hidden state, (H,) or one row per stepped prefix
-
-
 class BoundModel:
     """Model parameters bound to one tape. All candidate evaluations sharing
     a tape share the same leaf nodes, so one backward pass covers them all."""
@@ -264,10 +259,9 @@ class BoundModel:
         attn_proj = t.matmul(matrix, p["attn_U"])
         return Annotations(matrix=matrix, attn_proj=attn_proj, bwd_first=bwd[0])
 
-    def initial_state(self, ann: Annotations) -> StepState:
+    def initial_state(self, ann: Annotations) -> Node:
         t, p = self.tape, self.pn
-        z0 = t.tanh(t.add(t.matmul(ann.bwd_first, p["dec_init_W"]), p["dec_init_b"]))
-        return StepState(z=z0)
+        return t.tanh(t.add(t.matmul(ann.bwd_first, p["dec_init_W"]), p["dec_init_b"]))
 
     def _attend(self, z: Node, ann: Annotations) -> Node:
         """The context weights @ matrix, with attention weights
@@ -275,10 +269,7 @@ class BoundModel:
         (M, A) e per row, and ``e @ v`` is one gemv call per row."""
         W, v = self.pn["attn_W"], self.pn["attn_v"]
         matrix, proj, vm = ann.matrix, ann.attn_proj, _vm(z.value)
-        zW = vm(z.value, W.value)
-        if zW.ndim > 1:  # one row per z row, broadcast over the M positions
-            zW = zW[:, None, :]
-        e = np.tanh(proj.value + zW)
+        e = np.tanh(proj.value + vm(z.value, W.value)[..., None, :])
         weights = np.exp(log_softmax(e @ v.value))
 
         def vjp(g):
@@ -316,11 +307,11 @@ class BoundModel:
         return self.tape.emit(vm(readout, oW.value) + ob.value, parents, vjp)
 
     def step_logits(
-        self, prev_word: int | np.ndarray, state: StepState, ann: Annotations
-    ) -> tuple[Node, StepState]:
-        """Logits of the token after ``prev_word`` and the state after it.
-        On a non-recording tape, ``prev_word`` may be a vector of B token
-        ids with ``state.z`` holding B rows; logits and state then hold B
+        self, prev_word: int | np.ndarray, z: Node, ann: Annotations
+    ) -> tuple[Node, Node]:
+        """Logits of the token after ``prev_word`` and the decoder state z
+        after it. On a non-recording tape, ``prev_word`` may be a vector of
+        B token ids with ``z`` holding B rows; logits and state then hold B
         rows, each byte-equal to stepping that row alone."""
         t, p = self.tape, self.pn
         if isinstance(prev_word, np.ndarray):
@@ -332,11 +323,10 @@ class BoundModel:
         elif not 0 <= prev_word < self.tgt_vocab_size:
             raise ModelError(f"target token id {prev_word} out of range")
         emb = t.lookup(p["tgt_embed"], prev_word)
-        context = self._attend(state.z, ann)
+        context = self._attend(z, ann)
         x = t.concat([emb, context], axis=emb.value.ndim - 1)
-        z_new = self._gru_step("dec", x, state.z)
-        logits = self._readout(emb, z_new, context)
-        return logits, StepState(z=z_new)
+        z_new = self._gru_step("dec", x, z)
+        return self._readout(emb, z_new, context), z_new
 
 
 class PrefixMemo:
@@ -346,15 +336,13 @@ class PrefixMemo:
     ``prefix``. The source is encoded once, and each distinct prefix is
     stepped once however many callers share it. The values are those of
     stepping the model afresh: the same primitives run on the same inputs.
-    Sampling, rescoring, scoring and decoding step the decoder through a
-    memo on its default non-recording tape; there ``next_logdists`` steps
-    several new prefixes as one row batch, one ``step_logits`` call, and
-    each row keeps the bits of stepping its prefix alone. Training passes a
-    recording ``tape``, which steps one row at a time; each prefix then
-    also keeps the nodes its step emitted (the empty prefix,
+    Sampling, rescoring and scoring step the decoder through a memo on its
+    default non-recording tape. Training passes a recording ``tape``; each
+    prefix then also keeps the nodes its step emitted (the empty prefix,
     ``initial_state``'s too), which ``logprob_node`` picks from for the
-    first target it scores and re-emits for every later one. The oracle's
-    enumeration keeps its own walk as an independent reference.
+    first target it scores and re-emits for every later one. Beam search
+    keeps its own state rows (see ``decoder``), and the oracle's
+    enumeration its own walk as an independent reference.
     """
 
     def __init__(self, params: ParamStore, src: Sequence[int], tape: Tape | None = None):
@@ -362,8 +350,8 @@ class PrefixMemo:
         self.src = list(src)
         self.bound = BoundModel(params, Tape(record=False) if tape is None else tape)
         self.ann = self.bound.encode(self.src)
-        # prefix -> (next token's log-distribution, state after prefix, step's nodes)
-        self._steps: dict[tuple[int, ...], tuple[np.ndarray, StepState, list[Node]]] = {}
+        # prefix -> (next token's log-distribution, state z after prefix, step's nodes)
+        self._steps: dict[tuple[int, ...], tuple[np.ndarray, Node, list[Node]]] = {}
         self._scored = False  # whether logprob_node has used the memo's own nodes
 
     def next_logdist(self, prefix: tuple[int, ...]) -> np.ndarray:
@@ -374,37 +362,13 @@ class PrefixMemo:
         if entry is None:
             bound, start = self.bound, len(self.bound.tape.nodes)
             if prefix:
-                state, prev = self._steps[prefix[:-1]][1], prefix[-1]
+                z, prev = self._steps[prefix[:-1]][1], prefix[-1]
             else:
-                state, prev = bound.initial_state(self.ann), BOS
-            logits, new_state = bound.step_logits(prev, state, self.ann)
-            entry = (bound.tape.log_softmax(logits).value, new_state, bound.tape.nodes[start:])
+                z, prev = bound.initial_state(self.ann), BOS
+            logits, z = bound.step_logits(prev, z, self.ann)
+            entry = (bound.tape.log_softmax(logits).value, z, bound.tape.nodes[start:])
             self._steps[prefix] = entry
         return entry[0]
-
-    def next_logdists(self, prefixes: Sequence[tuple[int, ...]]) -> np.ndarray:
-        """``next_logdist`` of each prefix, as the rows of one (B, V) array.
-        The prefixes not yet memoised are stepped as one row batch; each
-        one's parent (``prefix[:-1]``) must be memoised already, unless it
-        is the empty prefix. Non-recording memos only."""
-        bound = self.bound
-        if bound.tape.record:
-            raise DiffError("next_logdists needs a memo on a non-recording tape")
-        new = [p for p in dict.fromkeys(prefixes) if p not in self._steps]
-        if new:
-            states = [
-                self._steps[p[:-1]][1].z.value if p else
-                bound.initial_state(self.ann).z.value
-                for p in new
-            ]
-            prev = np.array([p[-1] if p else BOS for p in new])
-            logits, state = bound.step_logits(
-                prev, StepState(z=Node(np.stack(states))), self.ann
-            )
-            logdists, z = log_softmax(logits.value), state.z.value
-            for i, p in enumerate(new):
-                self._steps[p] = (logdists[i], StepState(z=Node(z[i])), [])
-        return np.stack([self._steps[p][0] for p in prefixes])
 
     def logprob(self, tgt: Sequence[int]) -> tuple[float, list[float]]:
         """Total and per-token log P(tgt | src), the total reduced as

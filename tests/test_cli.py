@@ -171,8 +171,10 @@ class TestBadRunSettings:
     @pytest.mark.parametrize(
         "flags, message",
         [(["--ks", "5", "0"], "--ks must all be >= 1, got 0"),
-         (["--alpha", "0"], "alpha must be positive, got 0.0")],
-        ids=["ks", "alpha"],
+         (["--alpha", "0"], "alpha must be positive, got 0.0"),
+         (["--max-len", "2", "--ks", "5", "--n-seeds", "2"],
+          "--max-len must be >= 3 (2 gold tokens + EOS), got 2")],
+        ids=["ks", "alpha", "max-len"],
     )
     def test_oracle_flag_rejected_before_output(self, workdir, capsys, flags,
                                                 message):
@@ -292,6 +294,18 @@ class TestTrainDecodeEvaluate:
         )
         assert code == 0
         assert (workdir / "hyp.txt").read_text(encoding="utf-8").count("\n") == 2
+
+    def test_decode_empty_line_rejected_before_output(self, trained, workdir, capsys):
+        first, third = read_token_lines("task/valid.src")[:2]
+        (workdir / "in.src").write_text(f"{' '.join(first)}\n\n{' '.join(third)}\n")
+        code, out, err = run(
+            capsys, "decode", "--checkpoint", "model.ckpt", "--input", "in.src",
+            "--output", "hyp.txt", "--src-vocab", "task/vocab.txt",
+            "--tgt-vocab", "task/vocab.txt", "--quiet",
+        )
+        _one_line_data_error(code, out, err)
+        assert err == "error: in.src: line 2 is empty\n"
+        assert not (workdir / "hyp.txt").exists()
 
     def test_decode_truncated_checkpoint_is_data_error(self, trained, workdir, capsys):
         blob = (workdir / "model.ckpt").read_bytes()
@@ -540,6 +554,22 @@ class TestSampleAndOracle:
             assert float(logprob) <= 0
             assert -1.0 <= float(loss) <= 10.0
             assert 0.0 <= float(weight) <= 1.0
+
+    @pytest.mark.parametrize("emptied", ["input", "gold"])
+    def test_sample_empty_line_rejected_before_output(self, trained, workdir,
+                                                      capsys, emptied):
+        files = {"input": "task/valid.src", "gold": "task/valid.tgt"}
+        lines = (workdir / files[emptied]).read_text().splitlines(keepends=True)
+        (workdir / "emptied.txt").write_text("".join(lines[:1] + ["\n"] + lines[2:]))
+        files[emptied] = "emptied.txt"
+        code, out, err = run(
+            capsys, "sample", "--checkpoint", "model.ckpt",
+            "--src-vocab", "task/vocab.txt", "--tgt-vocab", "task/vocab.txt",
+            "--input", files["input"], "--gold", files["gold"],
+            "--k", "4", "--seed", "0", "--quiet",
+        )
+        _one_line_data_error(code, out, err)
+        assert err == "error: emptied.txt: line 2 is empty\n"
 
     def test_oracle_csv_sections(self, workdir, capsys):
         code, out, _ = run(

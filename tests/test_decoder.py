@@ -14,8 +14,10 @@ def models(n, tgt_vocab=8):
     return cfg, [noisy_params(cfg, seed=s, scale=0.8) for s in range(n)]
 
 
-# The tape-stepping searches the memo-stepping ones replaced: every live
-# hypothesis carries its own decoder state and steps it afresh.
+# Unbatched references: every live hypothesis carries its own decoder state
+# and steps it alone, one ``step_logits`` call per hypothesis, where
+# ``beam_decode`` steps all live rows in one call and selects from the
+# flattened scores.
 
 
 def _reference_logdist(tape, bound, prev, state, ann):
@@ -87,7 +89,7 @@ class TestMatchesTapeStepping:
         seed=st.integers(0, 10**6),
         tgt_vocab=st.integers(5, 10),
         src=st.lists(st.integers(4, 7), min_size=1, max_size=5),
-        width=st.integers(1, 10),
+        width=st.integers(1, 40),
         max_len=st.integers(1, 7),
         length_normalize=st.booleans(),
     )
@@ -105,36 +107,43 @@ class TestMatchesTapeStepping:
         ) == reference_beam(params, src, width, max_len, length_normalize)
 
     def test_one_encode_and_one_row_batched_step_per_iteration(self, monkeypatch):
-        """One encode; then each beam iteration makes one step call with
-        one row per live hypothesis, and no prefix is stepped twice."""
+        """One encode; then each beam iteration makes one step call whose
+        token vector and state z hold one row per live hypothesis, never
+        more than the width, each z row one the previous call returned.
+        No PrefixMemo is built."""
         _, params_list = models(1)
-        encodes, rows, batches = [], [], []
+        encodes, steps = [], []
         encode, step = BoundModel.encode, BoundModel.step_logits
-        next_logdists = PrefixMemo.next_logdists
 
         def counting_encode(self, src):
             encodes.append(src)
             return encode(self, src)
 
-        def counting_step(self, prev, state, ann):
-            rows.append((len(prev), len(state.z.value)))
-            return step(self, prev, state, ann)
+        def counting_step(self, prev, z, ann):
+            logits, z_new = step(self, prev, z, ann)
+            steps.append((prev, z.value, z_new.value))
+            return logits, z_new
 
-        def recording_next_logdists(self, prefixes):
-            batches.append(list(prefixes))
-            return next_logdists(self, prefixes)
+        def no_memo(*args, **kwargs):
+            raise AssertionError("beam_decode built a PrefixMemo")
 
         monkeypatch.setattr(BoundModel, "encode", counting_encode)
         monkeypatch.setattr(BoundModel, "step_logits", counting_step)
-        monkeypatch.setattr(PrefixMemo, "next_logdists", recording_next_logdists)
-        beam_decode(params_list[0], [4, 5, 6], 4, 6)
-        stepped = [prefix for batch in batches for prefix in batch]
+        monkeypatch.setattr(PrefixMemo, "__init__", no_memo)
+        width, max_len = 4, 6
+        beam_decode(params_list[0], [4, 5, 6], width, max_len)
+        hidden = params_list[0]["dec_init_b"].shape
         assert len(encodes) == 1
-        assert len(batches) > 2 and max(map(len, batches)) == 4
-        # iteration d steps the live hypotheses, all d tokens long
-        assert all(len(p) == d for d, batch in enumerate(batches) for p in batch)
-        assert rows == [(len(batch), len(batch)) for batch in batches]
-        assert len(set(stepped)) == len(stepped)
+        assert 2 < len(steps) <= max_len
+        assert steps[0][0].tolist() == [BOS]
+        assert max(len(prev) for prev, _, _ in steps) == width
+        for prev, z, z_new in steps:
+            assert 1 <= len(prev) <= width
+            assert z.shape == z_new.shape == (len(prev),) + hidden
+        for (_, _, returned), (prev, z, _) in zip(steps, steps[1:]):
+            assert not set(prev.tolist()) & {PAD, BOS, EOS}
+            returned = {row.tobytes() for row in returned}
+            assert all(row.tobytes() in returned for row in z)
 
 
 class TestGreedy:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_logprob_nodes
-from riskseq.diffcore import DiffError, Node, ParamStore, Tape
+from riskseq.diffcore import DiffError, Node, ParamStore, Tape, log_softmax
 from riskseq.model import (
     BOS,
     EOS,
@@ -21,7 +21,6 @@ from riskseq.model import (
     ModelConfig,
     ModelError,
     PrefixMemo,
-    StepState,
     _vm,
     check_params,
     init_params,
@@ -211,8 +210,7 @@ class TestDecodeStep:
         cfg, params = tiny
         bound = BoundModel(params, Tape(record=False))
         ann = bound.encode([4, 5, 6])
-        _, state = bound.step_logits(BOS, bound.initial_state(ann), ann)
-        z = state.z.value
+        z = bound.step_logits(BOS, bound.initial_state(ann), ann)[1].value
         assert z.shape == (cfg.hidden_dim,)
         # a GRU state mixes the previous state and a tanh, both in (-1, 1)
         assert np.all(np.abs(z) < 1.0)
@@ -300,10 +298,10 @@ def forward_values(params, src, tgt, record):
     bound = BoundModel(params, Tape(record=record))
     ann = bound.encode(src)
     out = [ann.matrix.value, ann.attn_proj.value, ann.bwd_first.value]
-    state, prev = bound.initial_state(ann), BOS
+    z, prev = bound.initial_state(ann), BOS
     for tok in tgt:
-        logits, state = bound.step_logits(prev, state, ann)
-        out += [logits.value, state.z.value]
+        logits, z = bound.step_logits(prev, z, ann)
+        out += [logits.value, z.value]
         prev = tok
     return [v.tobytes() for v in out]
 
@@ -411,44 +409,57 @@ class TestRowBatchedSteps:
     )
     @settings(max_examples=40, deadline=None)
     def test_batched_rows_equal_fresh_next_logdist(self, seed, dims, vocab, data):
+        """A row-batched ``step_logits`` from states that single-row memo
+        steps left, with the initial state and duplicate rows mixed in:
+        each row's log-distribution and new state are byte-equal to those
+        of a fresh memo's ``next_logdist`` of the same prefix."""
         E, H, A = dims
         params = init_params(ModelConfig(vocab, vocab, E, H, A), seed)
         rng = np.random.default_rng(seed)
         params.set_flat(params.flat() + rng.normal(size=params.size))
         src = data.draw(st.lists(st.integers(1, vocab - 1), min_size=1, max_size=6))
         memo, fresh = PrefixMemo(params, src), PrefixMemo(params, src)
-        prefixes = [()]
-        for _ in range(data.draw(st.integers(1, 4))):
-            # the empty prefix again: duplicates and memoised rows mix in
-            asked = prefixes + [()]
-            rows = memo.next_logdists(asked)
-            assert rows.shape == (len(asked), vocab)
-            for prefix, row in zip(asked, rows):
-                assert row.tobytes() == fresh.next_logdist(prefix).tobytes()
-            children = data.draw(st.lists(
-                st.tuples(st.sampled_from(prefixes), st.integers(0, vocab - 1)),
-                min_size=1, max_size=10, unique=True,
-            ))
-            prefixes = [prefix + (tok,) for prefix, tok in children]
+        stepped = [()]
+        memo.next_logdist(())
+        walk = st.tuples(st.integers(0, 10), st.integers(0, vocab - 1))
+        for parent, tok in data.draw(st.lists(walk, max_size=8)):
+            stepped.append(stepped[parent % len(stepped)] + (tok,))
+            memo.next_logdist(stepped[-1])
+        children = data.draw(st.lists(
+            st.tuples(st.sampled_from(stepped), st.integers(0, vocab - 1)),
+            min_size=1, max_size=10,
+        ))
+        asked = [prefix + (tok,) for prefix, tok in children]
+        asked += [(), asked[0]]  # the initial state and a duplicate row
+        bound, ann = memo.bound, memo.ann
+        z = Node(np.stack([
+            memo._steps[p[:-1]][1].value if p else bound.initial_state(ann).value
+            for p in asked
+        ]))
+        prev = np.array([p[-1] if p else BOS for p in asked])
+        logits, z = bound.step_logits(prev, z, ann)
+        assert logits.value.shape == (len(asked), vocab)
+        assert z.value.shape == (len(asked), H)
+        for p, logdist, row in zip(asked, log_softmax(logits.value), z.value):
+            for n in range(len(p)):  # a fresh memo visits prefixes shortest first
+                fresh.next_logdist(p[:n])
+            assert logdist.tobytes() == fresh.next_logdist(p).tobytes()
+            assert row.tobytes() == fresh._steps[p][1].value.tobytes()
 
     def test_recording_tape_steps_one_row(self, tiny):
         _, params = tiny
-        with pytest.raises(DiffError, match="non-recording"):
-            PrefixMemo(params, [4, 5], Tape()).next_logdists([()])
         bound = BoundModel(params, Tape())
         ann = bound.encode([4, 5])
-        z = bound.initial_state(ann).z
         with pytest.raises(DiffError, match="one row"):
-            bound.step_logits(np.array([BOS]), StepState(z=z), ann)
+            bound.step_logits(np.array([BOS]), bound.initial_state(ann), ann)
 
     def test_out_of_range_row_token_rejected(self, tiny):
         _, params = tiny
         bound = BoundModel(params, Tape(record=False))
         ann = bound.encode([4, 5])
-        z = bound.initial_state(ann).z.value
-        state = StepState(z=Node(np.stack([z, z])))
+        z = bound.initial_state(ann).value
         with pytest.raises(ModelError, match="token id 7 out of range"):
-            bound.step_logits(np.array([BOS, 7]), state, ann)
+            bound.step_logits(np.array([BOS, 7]), Node(np.stack([z, z])), ann)
 
 
 class TestCheckpoint:
