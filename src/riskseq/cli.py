@@ -213,7 +213,7 @@ def cmd_decode(args) -> int:
     if max_len < 1:
         raise DataError(f"length limit must be >= 1, got {max_len}")
     lines = []
-    for words in data.read_token_lines(args.input, nonempty=True):
+    for words in data.read_token_lines(args.input, model_input=True):
         out = beam_decode(params, src_vocab.encode(words), args.beam, max_len)
         lines.append(" ".join(tgt_vocab.decode([t for t in out if t != EOS])))
     _write_lines(args.output, lines)
@@ -244,8 +244,8 @@ def cmd_evaluate(args) -> int:
 def cmd_sample(args) -> int:
     params, model_cfg, src_vocab, tgt_vocab = _load_checkpoint(args)
     kind = LossKind.parse(args.loss)
-    srcs = data.read_token_lines(args.input, nonempty=True)
-    golds = data.read_token_lines(args.gold, nonempty=True)
+    srcs = data.read_token_lines(args.input, model_input=True)
+    golds = data.read_token_lines(args.gold, model_input=True)
     if len(srcs) != len(golds):
         raise DataError(f"{len(srcs)} source lines vs {len(golds)} gold lines")
     info = metrics.info_table_for(kind, [tgt_vocab.encode(g) for g in golds])
@@ -255,7 +255,7 @@ def cmd_sample(args) -> int:
         rng = np.random.default_rng([args.seed, i])
         space = mrt.sample_space(params, src, gold, args.k, model_cfg.max_len, rng)
         q = mrt.q_distribution(space, args.alpha)
-        for cand, lp, w in zip(space.candidates, space.logprobs, q.weights):
+        for cand, lp, w in zip(space.candidates, space.logprobs, q):
             loss = metrics.delta(kind, cand, gold, info)
             tokens = " ".join(tgt_vocab.decode([t for t in cand if t != EOS]))
             print(f"{lp:.6f}\t{loss:.6f}\t{w:.6f}\t{tokens}")
@@ -407,10 +407,6 @@ def _add_train_io_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--loss", dest="loss_kind", default=None)
     p.add_argument("--init-checkpoint", dest="init_checkpoint", default=None)
-    p.add_argument(
-        "--allow-random-init", dest="allow_random_init",
-        action="store_const", const=True, default=None,
-    )
 
 
 def build_parser() -> _Parser:
@@ -516,7 +512,8 @@ def main(argv=None) -> int:
         OracleError,
         TrainError,
         DiffError,
-        FileNotFoundError,
+        OSError,
+        UnicodeError,
         json.JSONDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

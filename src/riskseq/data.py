@@ -27,6 +27,9 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
+# Reserved words that no model input holds; <unk> is an ordinary word.
+MODEL_INPUT_RESERVED = frozenset(RESERVED_TOKENS) - {"<unk>"}
+
 
 class DataError(Exception):
     pass
@@ -81,12 +84,19 @@ class Corpus:
         return len(self.pairs)
 
 
-def read_token_lines(path: str, nonempty: bool = False) -> list[list[str]]:
+def read_token_lines(path: str, model_input: bool = False) -> list[list[str]]:
+    """Whitespace-split lines. Lines a model reads (``model_input``) must be
+    non-empty and hold no reserved word but ``<unk>``."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line.split() for line in fh]
+    if not model_input:
+        return lines
     for n, words in enumerate(lines, 1):
-        if nonempty and not words:
+        if not words:
             raise DataError(f"{path}: line {n} is empty")
+        for w in words:
+            if w in MODEL_INPUT_RESERVED:
+                raise DataError(f"{path}: line {n}: reserved token {w}")
     return lines
 
 
@@ -120,8 +130,8 @@ def load_parallel(
     either side longer than max_len are filtered (count logged). Each kept
     pair's references are its target, or its lines of ``ref_files``, which
     must be aligned with the source line by line."""
-    src_lines = read_token_lines(src_file, nonempty=True)
-    tgt_lines = read_token_lines(tgt_file, nonempty=True)
+    src_lines = read_token_lines(src_file, model_input=True)
+    tgt_lines = read_token_lines(tgt_file, model_input=True)
     if len(src_lines) != len(tgt_lines):
         raise DataError(
             f"line-count mismatch: {len(src_lines)} source lines "

@@ -222,15 +222,13 @@ class Tape:
 
         return self.emit(np.asarray(av[index]), (a,), vjp)
 
-    def concat(self, parts: Sequence[Node], axis: int = 0) -> Node:
+    def concat(self, parts: Sequence[Node]) -> Node:
+        """Join ``parts`` along their last axis."""
         values = [p.value for p in parts]
-        ends = list(accumulate(v.shape[axis] for v in values))
+        ends = list(accumulate(v.shape[-1] for v in values))
         cuts = list(zip([0] + ends[:-1], ends))
-        if axis == 0:
-            vjp = lambda g: tuple(g[lo:hi] for lo, hi in cuts)
-        else:
-            vjp = lambda g: tuple(g[:, lo:hi] for lo, hi in cuts)
-        return self.emit(np.concatenate(values, axis=axis), tuple(parts), vjp)
+        vjp = lambda g: tuple(g[..., lo:hi] for lo, hi in cuts)
+        return self.emit(np.concatenate(values, axis=-1), tuple(parts), vjp)
 
     def stack_rows(self, rows: Sequence[Node]) -> Node:
         value = np.stack([r.value for r in rows], axis=0)
@@ -286,13 +284,12 @@ class ParamStore:
     Insertion order defines the linear index. Serialization round-trips
     byte-identically: magic "RSQ2", the tensor count, then per tensor its
     name, rank, dims and little-endian f64 data (u32 lengths). Loading is
-    strict: a short or overlong file raises ``DiffError``. Files with the
-    older magic "RSQ1" carry no count and still load. ``save`` goes through
-    ``atomic_writer``, so a failed save leaves the old checkpoint intact.
+    strict: a short or overlong file, or any other magic, raises
+    ``DiffError``. ``save`` goes through ``atomic_writer``, so a failed save
+    leaves the old checkpoint intact.
     """
 
     MAGIC = b"RSQ2"
-    LEGACY_MAGIC = b"RSQ1"
 
     def __init__(self):
         self._tensors: dict[str, np.ndarray] = {}
@@ -364,7 +361,7 @@ class ParamStore:
         with open(path, "rb") as fh:
             buf = fh.read()
         magic = buf[:4]
-        if magic not in (cls.MAGIC, cls.LEGACY_MAGIC):
+        if magic != cls.MAGIC:
             raise DiffError(f"bad checkpoint magic: {magic!r}")
         pos = 4
 
@@ -382,9 +379,8 @@ class ParamStore:
             return struct.unpack("<I", take(4))[0]
 
         store = cls()
-        legacy = magic == cls.LEGACY_MAGIC
-        count = None if legacy else u32()
-        while pos < len(buf) if legacy else len(store._tensors) < count:
+        count = u32()
+        while len(store._tensors) < count:
             try:
                 name = take(u32()).decode("utf-8")
             except UnicodeDecodeError as exc:

@@ -232,7 +232,6 @@ class BoundModel:
 
     def encode(self, src: Sequence[int]) -> Annotations:
         t, p = self.tape, self.pn
-        src = _strip_trailing_pad(src)
         if not src:
             raise ModelError("empty source sentence")
         for tok in src:
@@ -255,7 +254,7 @@ class BoundModel:
             h = self._gru_step("enc_bwd", embeds[i], h)
             bwd[i] = h
 
-        matrix = t.concat([t.stack_rows(fwd), t.stack_rows(bwd)], axis=1)
+        matrix = t.concat([t.stack_rows(fwd), t.stack_rows(bwd)])
         attn_proj = t.matmul(matrix, p["attn_U"])
         return Annotations(matrix=matrix, attn_proj=attn_proj, bwd_first=bwd[0])
 
@@ -324,7 +323,7 @@ class BoundModel:
             raise ModelError(f"target token id {prev_word} out of range")
         emb = t.lookup(p["tgt_embed"], prev_word)
         context = self._attend(z, ann)
-        x = t.concat([emb, context], axis=emb.value.ndim - 1)
+        x = t.concat([emb, context])
         z_new = self._gru_step("dec", x, z)
         return self._readout(emb, z_new, context), z_new
 
@@ -405,13 +404,6 @@ class PrefixMemo:
         return tape.sum(tape.stack_rows(picks))
 
 
-def _strip_trailing_pad(tgt: Sequence[int]) -> list[int]:
-    tgt = list(tgt)
-    while tgt and tgt[-1] == PAD:
-        tgt.pop()
-    return tgt
-
-
 def _validate_target(tgt: Sequence[int], vocab_size: int) -> None:
     if not tgt:
         raise ModelError("empty target sequence")
@@ -422,10 +414,9 @@ def _validate_target(tgt: Sequence[int], vocab_size: int) -> None:
         raise ModelError("EOS before the end of the target sequence")
 
 
-def _checked_target(tgt: Sequence[int]) -> list[int]:
-    """A reference target without its trailing PAD; it must end with EOS
-    and hold no PAD."""
-    tgt = _strip_trailing_pad(tgt)
+def _checked_target(tgt: Sequence[int]) -> Sequence[int]:
+    """``tgt`` itself, once checked to be a reference target: it must end
+    with EOS and hold no PAD."""
     if not tgt or tgt[-1] != EOS:
         raise ModelError("target must end with EOS")
     if PAD in tgt:

@@ -25,7 +25,6 @@ from .model import EOS, PrefixMemo, _checked_target
 __all__ = [
     "MrtError",
     "SampledSpace",
-    "QDistribution",
     "RiskReport",
     "sample_trajectories",
     "sample_space",
@@ -58,11 +57,6 @@ class SampledSpace:
 
     def __len__(self) -> int:
         return len(self.candidates)
-
-
-@dataclass
-class QDistribution:
-    weights: np.ndarray
 
 
 @dataclass
@@ -177,18 +171,19 @@ def sample_space(
     return build_space(params, src, gold, trajectories, k, max_len, memo=memo)
 
 
-def q_distribution(space: SampledSpace, alpha: float) -> QDistribution:
-    """Probabilities proportional to P(y|x)^alpha, normalized in log space."""
+def q_distribution(space: SampledSpace, alpha: float) -> np.ndarray:
+    """Q's weight per candidate: probabilities proportional to
+    P(y|x)^alpha, normalized in log space."""
     if alpha <= 0:
         raise MrtError(f"alpha must be positive, got {alpha}")
     logprobs = np.asarray(space.logprobs, dtype=np.float64)
     if not np.all(np.isfinite(logprobs)):
         raise MrtError("non-finite candidate log-probabilities")
-    return QDistribution(weights=np.exp(log_softmax(alpha * logprobs)))
+    return np.exp(log_softmax(alpha * logprobs))
 
 
 def expected_risk(
-    space: SampledSpace, q: QDistribution, losses: Sequence[float]
+    space: SampledSpace, q: np.ndarray, losses: Sequence[float]
 ) -> RiskReport:
     losses = np.asarray(losses, dtype=np.float64)
     if losses.shape != (len(space.candidates),):
@@ -196,7 +191,7 @@ def expected_risk(
             f"{losses.shape[0]} losses for {len(space.candidates)} candidates"
         )
     # pairwise sum, not a BLAS dot: thread-count independent at any k
-    risk = float(np.sum(q.weights * losses))
+    risk = float(np.sum(q * losses))
     advantages = losses - risk
     return RiskReport(expected_risk=risk, advantages=advantages)
 
@@ -205,7 +200,7 @@ def mrt_grad(
     params: ParamStore,
     src: Sequence[int],
     space: SampledSpace,
-    q: QDistribution,
+    q: np.ndarray,
     report: RiskReport,
     alpha: float,
     *,
@@ -214,7 +209,7 @@ def mrt_grad(
     """Gradient of the sampled expected risk with the candidate set held
     fixed: alpha * sum_i w_i (loss_i - R) * grad log P(y_i | x), where the
     baseline R is the expected risk; a given ``memo`` must record."""
-    coeffs = alpha * q.weights * report.advantages
+    coeffs = alpha * q * report.advantages
     if not np.any(coeffs):
         return np.zeros(params.size)
     memo = PrefixMemo(params, src, Tape()) if memo is None else _memo_for(params, src, memo)

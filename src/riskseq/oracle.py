@@ -51,11 +51,10 @@ class EnumerationBudgetError(OracleError):
 @dataclass
 class FullSpace:
     """Every EOS-terminated sequence over the content vocabulary with its
-    exact model probability."""
+    exact model log-probability."""
 
     sequences: list[tuple[int, ...]]
     logprobs: np.ndarray
-    probs: np.ndarray
     terminated_mass: float
 
 
@@ -91,12 +90,10 @@ def enumerate_space(
 
     visit(bound.initial_state(ann), BOS, 0.0, ())
     lp_arr = np.array(logprobs)
-    probs = np.exp(lp_arr)
     return FullSpace(
         sequences=sequences,
         logprobs=lp_arr,
-        probs=probs,
-        terminated_mass=float(probs.sum()),
+        terminated_mass=float(np.exp(lp_arr).sum()),
     )
 
 

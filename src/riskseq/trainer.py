@@ -2,8 +2,9 @@
 
 Plain SGD with global-norm gradient clipping; validation decoding with
 beam 10 every eval_every updates; the checkpoint with the best validation
-corpus BLEU is retained. Minimum risk fine-tuning starts from a maximum
-likelihood checkpoint unless random initialization is explicitly allowed.
+corpus BLEU is retained. Minimum risk fine-tuning always starts from given
+parameters (``initial`` or ``init_checkpoint``); for a random start, save
+the parameters of a maximum likelihood run of 0 updates.
 
 The global gradient norm is a numpy pairwise sum, not ``np.linalg.norm``.
 For a long 1-D array the latter is a BLAS dot product, which multi-threaded
@@ -57,7 +58,6 @@ class TrainConfig:
     loss_kind: LossKind = LossKind.NEG_SMOOTHED_BLEU
     seed: int = 0
     init_checkpoint: str | None = None
-    allow_random_init: bool = False
     workers: int = 1  # only 1 is accepted: MRT sentences run in order
 
     def __post_init__(self):
@@ -79,10 +79,6 @@ class TrainConfig:
                 raise TrainError(f"{name} must be a number, got {value!r}")
         if not isinstance(self.init_checkpoint, (str, type(None))):
             raise TrainError(f"init_checkpoint must be a path, got {self.init_checkpoint!r}")
-        if type(self.allow_random_init) is not bool:
-            raise TrainError(
-                f"allow_random_init must be true or false, got {self.allow_random_init!r}"
-            )
         for name in ("batch_size", "k"):
             if getattr(self, name) < 1:
                 raise TrainError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -91,12 +87,12 @@ class TrainConfig:
         for name in ("max_updates", "eval_every", "seed"):
             if getattr(self, name) < 0:
                 raise TrainError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not self.alpha > 0:
-            raise TrainError(f"alpha must be positive, got {self.alpha}")
-        if self.learning_rate is not None and not self.learning_rate >= 0:
-            raise TrainError(
-                f"learning_rate must be >= 0, got {self.learning_rate}"
-            )
+        if not 0 < self.alpha < np.inf:
+            raise TrainError(f"alpha must be positive and finite, got {self.alpha}")
+        if self.learning_rate is not None and not 0 <= self.learning_rate < np.inf:
+            raise TrainError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        if not self.grad_clip_norm >= 0:  # 0 (and inf) mean no clipping
+            raise TrainError(f"grad_clip_norm must be >= 0, got {self.grad_clip_norm}")
 
     @property
     def lr(self) -> float:
@@ -155,11 +151,8 @@ def train(
         if cfg.init_checkpoint is not None:
             initial = ParamStore.load(cfg.init_checkpoint)
             check_params(initial, model_cfg)
-        elif cfg.criterion == "mrt" and not cfg.allow_random_init:
-            raise TrainError(
-                "minimum risk training requires an initial checkpoint "
-                "(pass allow_random_init to override)"
-            )
+        elif cfg.criterion == "mrt":
+            raise TrainError("minimum risk training requires an initial checkpoint")
         else:
             initial = init_params(model_cfg, cfg.seed)
     params = initial.copy()

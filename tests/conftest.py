@@ -56,7 +56,7 @@ def reference_logprob_nodes(bound, ann, tgt):
 
 def reference_mrt_grad(params, src, space, q, report, alpha):
     """``mrt.mrt_grad`` with one fresh walk per candidate."""
-    coeffs = alpha * q.weights * report.advantages
+    coeffs = alpha * q * report.advantages
     if not np.any(coeffs):
         return np.zeros(params.size)
     tape = Tape()

@@ -86,6 +86,9 @@ class TestExitCodes:
             ["evaluate", "--hyp", "h", "--ref", "r", "--workers", "2"],
             ["build-vocab", "--input", "t", "--max-size", "6",
              "--output", "v", "--lowercase"],
+            ["train", "--train-src", "s", "--train-tgt", "t", "--src-vocab", "v",
+             "--tgt-vocab", "v", "--checkpoint-out", "m", "--criterion", "mrt",
+             "--allow-random-init"],
         ],
     )
     def test_removed_flags_are_usage_errors(self, capsys, argv):
@@ -120,7 +123,8 @@ class TestBadRunSettings:
         [{"batch_size": "8"}, {"learning_rate": "0.5"}, {"eval_every": None},
          {"embed_dim": 2.5}, {"seed": "a"}, {"loss_kind": 5}, {"k": 2.0},
          {"max_updates": True}, {"init_checkpoint": 5},
-         {"allow_random_init": "no"}],
+         {"allow_random_init": "no"},  # not a key
+         {"grad_clip_norm": math.nan}, {"alpha": math.inf}],
         ids=lambda setting: next(iter(setting)),
     )
     def test_config_value_of_the_wrong_type(self, task_dir, workdir, capsys,
@@ -536,6 +540,73 @@ class TestSidecar:
         self._edit_sidecar(workdir, drop_hashes)
         assert self._load(capsys, "decode")[0] == 0
         assert os.path.exists("hyp.txt")
+
+
+NOT_UTF8 = b"\xff\xfew00 w01\n"  # a UTF-16 byte-order mark
+
+
+class TestUnreadableFiles:
+    """A file that is not UTF-8 text, or a directory where a file belongs,
+    is a data error (exit 2) with one line, not a traceback."""
+
+    DECODE = ["decode", "--checkpoint", "model.ckpt", "--input", "task/valid.src",
+              "--output", "hyp.txt", "--src-vocab", "task/vocab.txt",
+              "--tgt-vocab", "task/vocab.txt"]
+    ARGV = {
+        "input": ["evaluate", "--hyp", "bad.txt", "--ref", "task/valid.ref"],
+        "build-vocab-input": ["build-vocab", "--input", "bad.txt", "--max-size", "6",
+                              "--output", "v.txt"],
+        "vocab": DECODE[:-3] + ["bad.txt"] + DECODE[-2:],
+        "config": ["train", "--config", "bad.txt", "--train-src", "task/train.src",
+                   "--train-tgt", "task/train.tgt", "--src-vocab", "task/vocab.txt",
+                   "--tgt-vocab", "task/vocab.txt", "--checkpoint-out", "m.ckpt"],
+        "checkpoint": ["decode", "--checkpoint", "task"] + DECODE[3:],
+        "sidecar": DECODE,
+        "directory": ["evaluate", "--hyp", "task", "--ref", "task/valid.ref"],
+    }
+
+    @pytest.mark.parametrize("kind", list(ARGV))
+    def test_data_error_not_traceback(self, trained, workdir, capsys, kind):
+        bad = "model.ckpt.json" if kind == "sidecar" else "bad.txt"
+        (workdir / bad).write_bytes(NOT_UTF8)
+        code, out, err = run(capsys, *self.ARGV[kind], "--quiet")
+        _one_line_data_error(code, out, err)
+        assert not any(os.path.exists(f) for f in ("hyp.txt", "v.txt", "m.ckpt"))
+
+
+class TestReservedWords:
+    """<pad>, <eos> and <bos> in a line a model reads are data errors, found
+    before any work; <unk> is an ordinary word."""
+
+    ARGV = {
+        "train": ["train", "--train-src", "task/train.src", "--train-tgt",
+                  "task/train.tgt", "--src-vocab", "task/vocab.txt", "--tgt-vocab",
+                  "task/vocab.txt", "--max-updates", "4", "--checkpoint-out", "m.ckpt"],
+        "sample": ["sample", "--checkpoint", "model.ckpt", "--input", "task/valid.src",
+                   "--gold", "task/valid.tgt", "--src-vocab", "task/vocab.txt",
+                   "--tgt-vocab", "task/vocab.txt"],
+        "decode": TestUnreadableFiles.DECODE,
+    }
+
+    @pytest.mark.parametrize(
+        "command, path, word",
+        [("train", "task/train.tgt", "<eos>"), ("train", "task/train.tgt", "<bos>"),
+         ("train", "task/train.src", "<pad>"), ("sample", "task/valid.tgt", "<eos>"),
+         ("decode", "task/valid.src", "<pad>")],
+    )
+    def test_rejected_before_output(self, trained, workdir, capsys, command, path,
+                                    word):
+        lines = (workdir / path).read_text().splitlines()
+        words = lines[1].split()
+        # mid-line, but <pad> last, where it could pass for padding
+        words.insert(len(words) if word == "<pad>" else 1, word)
+        lines[1] = " ".join(words)
+        (workdir / "bad.txt").write_text("\n".join(lines) + "\n")
+        argv = ["bad.txt" if a == path else a for a in self.ARGV[command]]
+        code, out, err = run(capsys, *argv, "--quiet")
+        _one_line_data_error(code, out, err)
+        assert err == f"error: bad.txt: line 2: reserved token {word}\n"
+        assert not os.path.exists("m.ckpt") and not os.path.exists("hyp.txt")
 
 
 class TestSampleAndOracle:

@@ -170,6 +170,15 @@ class TestSynthetic:
 
 
 class TestReadTokenLines:
+    @pytest.mark.parametrize("word", ["<pad>", "<eos>", "<bos>"])
+    def test_model_input_rejects_reserved_words(self, tmp_path, word):
+        # line 1 passes: <unk> is an ordinary word
+        path = tmp_path / "f.txt"
+        path.write_text(f"a <unk> b\nc {word} d\n")
+        assert read_token_lines(str(path)) == [["a", "<unk>", "b"], ["c", word, "d"]]
+        with pytest.raises(DataError, match=f"f.txt: line 2: reserved token {word}$"):
+            read_token_lines(str(path), model_input=True)
+
     def test_splits_on_whitespace(self, tmp_path):
         path = tmp_path / "f.txt"
         path.write_text("a  b\tc\n\nd\n")

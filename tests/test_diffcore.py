@@ -174,7 +174,7 @@ class TestBackward:
             elif primitive == "log_softmax":
                 out = tape.log_softmax(x)
             elif primitive == "concat":
-                out = tape.concat([x, tape.tanh(x)], axis=1)
+                out = tape.concat([x, tape.tanh(x)])
             elif primitive == "scale":
                 out = tape.scale(x, -2.5)
             elif primitive == "lookup":
@@ -360,7 +360,12 @@ class TestParamStore:
     def test_checkpoint_magic_enforced(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"NOPE")
-        with pytest.raises(DiffError):
+        with pytest.raises(DiffError, match="bad checkpoint magic"):
+            ParamStore.load(path)
+        # nor is the count-less RSQ1 format
+        _, blob = self._toy_checkpoint(tmp_path)
+        path.write_bytes(b"RSQ1" + blob[8:])
+        with pytest.raises(DiffError, match="bad checkpoint magic"):
             ParamStore.load(path)
 
     def _toy_checkpoint(self, tmp_path):
@@ -387,14 +392,6 @@ class TestParamStore:
         path.write_bytes(blob + extra)
         with pytest.raises(DiffError):
             ParamStore.load(path)
-
-    def test_legacy_format_without_count_loads(self, tmp_path):
-        store, blob = self._toy_checkpoint(tmp_path)
-        path = tmp_path / "legacy.ckpt"
-        path.write_bytes(ParamStore.LEGACY_MAGIC + blob[8:])
-        loaded = ParamStore.load(path)
-        assert loaded.names() == store.names()
-        np.testing.assert_array_equal(loaded.flat(), store.flat())
 
     def test_oversized_dims_rejected_without_allocating(self, tmp_path):
         path = tmp_path / "huge.ckpt"

@@ -171,10 +171,11 @@ class TestEncode:
         assert ann.matrix.value.shape == (3, 2 * cfg.hidden_dim)
 
     def test_trailing_pad_stripped(self, tiny):
-        cfg, params = tiny
+        # a trailing PAD is an error like any other PAD
+        _, params = tiny
         bound = BoundModel(params, Tape(record=False))
-        ann = bound.encode([4, 5, PAD, PAD])
-        assert ann.matrix.value.shape == (2, 2 * cfg.hidden_dim)
+        with pytest.raises(ModelError):
+            bound.encode([4, 5, PAD, PAD])
 
     def test_interior_pad_rejected(self, tiny):
         _, params = tiny
@@ -255,10 +256,10 @@ class TestSequenceLogprob:
             sequence_logprob(params, [4], [5, PAD, EOS])
 
     def test_trailing_pad_ignored(self, tiny):
+        # a trailing PAD is an error like any other PAD
         _, params = tiny
-        a, _ = sequence_logprob(params, [4, 5], [6, EOS])
-        b, _ = sequence_logprob(params, [4, 5], [6, EOS, PAD, PAD])
-        assert a == b
+        with pytest.raises(ModelError):
+            sequence_logprob(params, [4, 5], [6, EOS, PAD, PAD])
 
     @given(
         seed=st.integers(0, 10**6),

@@ -246,24 +246,24 @@ class TestQDistribution:
 
     def test_weights_sum_to_one(self):
         q = q_distribution(self._space([-1.0, -2.0, -3.5]), alpha=0.7)
-        assert q.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert q.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_alpha_one_recovers_renormalized_probabilities(self):
         lp = [-1.0, -2.0, -3.0]
         q = q_distribution(self._space(lp), alpha=1.0)
         p = np.exp(lp) / np.exp(lp).sum()
-        np.testing.assert_allclose(q.weights, p, atol=1e-12)
+        np.testing.assert_allclose(q, p, atol=1e-12)
 
     def test_small_alpha_flattens(self):
         space = self._space([-1.0, -10.0])
         sharp = q_distribution(space, alpha=1.0)
         flat = q_distribution(space, alpha=5e-3)
-        assert flat.weights[1] > sharp.weights[1]
-        np.testing.assert_allclose(flat.weights, [0.5, 0.5], atol=0.02)
+        assert flat[1] > sharp[1]
+        np.testing.assert_allclose(flat, [0.5, 0.5], atol=0.02)
 
     def test_order_preserved(self):
         q = q_distribution(self._space([-5.0, -1.0, -3.0]), alpha=0.3)
-        assert q.weights[1] > q.weights[2] > q.weights[0]
+        assert q[1] > q[2] > q[0]
 
     def test_alpha_must_be_positive(self):
         with pytest.raises(MrtError):
@@ -273,12 +273,12 @@ class TestQDistribution:
     @settings(max_examples=300, deadline=None)
     def test_weights_equal_reference_bits(self, lp, alpha):
         q = q_distribution(self._space(lp), alpha)
-        assert q.weights.tobytes() == reference_q_weights(lp, alpha).tobytes()
+        assert q.tobytes() == reference_q_weights(lp, alpha).tobytes()
 
     def test_extreme_logprobs_stay_finite(self):
         q = q_distribution(self._space([-1e6, -2e6, -5.0]), alpha=1.0)
-        assert np.all(np.isfinite(q.weights))
-        assert q.weights[2] == pytest.approx(1.0)
+        assert np.all(np.isfinite(q))
+        assert q[2] == pytest.approx(1.0)
 
 
 class TestExpectedRisk:
@@ -295,7 +295,7 @@ class TestExpectedRisk:
 
     def test_weighted_advantages_sum_to_zero(self):
         space, q, report = self._setup([0.1, 0.9, 0.4])
-        assert float(q.weights @ report.advantages) == pytest.approx(0.0, abs=1e-15)
+        assert float(q @ report.advantages) == pytest.approx(0.0, abs=1e-15)
 
     def test_loss_count_mismatch_rejected(self):
         space, q, _ = self._setup([0.0, 1.0])

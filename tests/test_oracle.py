@@ -52,7 +52,9 @@ class TestEnumerateSpace:
     def test_probs_consistent_with_logprobs(self):
         _, params = small_model()
         full = enumerate_space(params, SRC, max_len=3)
-        np.testing.assert_allclose(full.probs, np.exp(full.logprobs))
+        probs = np.exp(full.logprobs)
+        assert np.all(probs > 0.0)
+        assert full.terminated_mass == float(probs.sum())
         assert 0.0 < full.terminated_mass <= 1.0 + 1e-12
 
     def test_terminated_mass_grows_with_length_limit(self):
@@ -77,7 +79,7 @@ class TestExactRisk:
         full = enumerate_space(params, SRC, max_len=3)
         losses = np.linspace(0.0, 1.0, len(full.sequences))
         got = exact_risk_over(full, losses, alpha=1.0)
-        expected = float(full.probs @ losses) / full.terminated_mass
+        expected = float(np.exp(full.logprobs) @ losses) / full.terminated_mass
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_constant_losses_give_that_constant(self):

@@ -43,7 +43,7 @@ class TestTrainConfig:
 
     def test_default_learning_rates_per_criterion(self):
         assert TrainConfig(criterion="mle").lr == 0.5
-        assert TrainConfig(criterion="mrt", allow_random_init=True).lr == 0.05
+        assert TrainConfig(criterion="mrt").lr == 0.05
         assert TrainConfig(criterion="mle", learning_rate=3.0).lr == 3.0
 
     def test_loss_kind_parsed_from_string(self):
@@ -74,7 +74,12 @@ class TestTrainConfig:
             ("alpha", True),
             ("loss_kind", 5),
             ("init_checkpoint", 5),
-            ("allow_random_init", "no"),
+            ("grad_clip_norm", float("nan")),
+            ("grad_clip_norm", -1.0),
+            ("learning_rate", float("inf")),
+            ("learning_rate", float("nan")),
+            ("alpha", float("inf")),
+            ("alpha", float("nan")),
         ],
     )
     def test_invalid_value_rejected_up_front(self, field, value):
@@ -157,13 +162,6 @@ class TestTrainMrt:
         with pytest.raises(TrainError):
             train(tc, cfg, tiny_corpus(), None)
 
-    def test_allow_random_init_overrides(self):
-        cfg = toy_config()
-        tc = TrainConfig(criterion="mrt", batch_size=2, max_updates=2,
-                         eval_every=0, k=5, allow_random_init=True)
-        res = train(tc, cfg, tiny_corpus(n=4), None)
-        assert res.final_params.size > 0
-
     def test_init_checkpoint_loaded(self, tmp_path):
         cfg = toy_config()
         start = noisy_params(cfg, seed=1)
@@ -227,7 +225,7 @@ class TestTrainMrt:
         monkeypatch.setattr(BoundModel, "step_logits", counting_step)
         monkeypatch.setattr(mrt, "sample_space", kept_space)
         pair = SentencePair(src=[4, 5, 4], tgt=[5, 4, 5, EOS])
-        train_cfg = TrainConfig(criterion="mrt", k=30, alpha=0.5, allow_random_init=True)
+        train_cfg = TrainConfig(criterion="mrt", k=30, alpha=0.5)
         rng = np.random.default_rng([0, 1, 0])
         _, grad = _mrt_sentence_grad(params, pair, train_cfg, cfg.max_len, rng, None)
         (space,) = spaces
