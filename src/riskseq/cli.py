@@ -48,8 +48,11 @@ class _Parser(argparse.ArgumentParser):
 def load_run_config(path: str) -> dict:
     """JSON config mirroring ModelConfig + TrainConfig keys. Unknown keys
     are rejected before any work starts."""
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"config {path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise DataError(f"config {path}: expected a JSON object")
     allowed = MODEL_KEYS | TRAIN_KEYS

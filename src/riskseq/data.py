@@ -63,8 +63,11 @@ class Vocab:
 
     @classmethod
     def load(cls, path: str) -> "Vocab":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls([line.rstrip("\n") for line in fh if line.rstrip("\n")])
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                return cls([line.rstrip("\n") for line in fh if line.rstrip("\n")])
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: {exc}") from None
 
 
 class SentencePair(NamedTuple):
@@ -87,8 +90,11 @@ class Corpus:
 def read_token_lines(path: str, model_input: bool = False) -> list[list[str]]:
     """Whitespace-split lines. Lines a model reads (``model_input``) must be
     non-empty and hold no reserved word but ``<unk>``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.split() for line in fh]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [line.split() for line in fh]
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from None
     if not model_input:
         return lines
     for n, words in enumerate(lines, 1):

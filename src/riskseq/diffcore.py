@@ -7,15 +7,19 @@ single-threaded-deterministic: running the same graph twice on the same
 inputs yields identical bits.
 
 Nodes may be fused: a caller can ``emit`` one node for a chain of
-primitives (``model`` does so for a GRU step, attention and the readout).
-Its forward must run the numpy calls the primitives would, on the same
-operands. Its ``vjp`` must return one contribution per entry of
-``parents`` (an input may appear more than once), in the order the
-primitives' reverse sweep would add them to that input, and must combine
-its internal adjoints in that sweep's order too. ``backward`` adds the
-contributions in tuple order (a copy for the first, then ``+=``), so a
-fused node then gives the same gradient bits as the primitives it stands
+primitives (``model`` does so for a GRU step, attention, the readout and
+the initial state). Its forward must run the numpy calls the primitives
+would, on the same operands. Its ``vjp`` must return one contribution per
+entry of ``parents`` (an input may appear more than once), in the order
+the primitives' reverse sweep would add them to that input, and must
+combine its internal adjoints in that sweep's order too. The sweep adds
+the contributions in tuple order (a copy for the first, then ``+=``), so
+a fused node then gives the same gradient bits as the primitives it stands
 for. Pre-summing two contributions to one input changes the rounding.
+
+Values may carry a leading axis of B independent rows (a row batch). A
+seed of one loss per row then gives each parameter one adjoint per row,
+each with the bits of sweeping its row alone.
 """
 
 from __future__ import annotations
@@ -133,15 +137,20 @@ class Tape:
     # -- primitives -------------------------------------------------------
 
     def matmul(self, a: Node, b: Node) -> Node:
+        """``a @ b`` for vectors and matrices. ``a`` may also stack one
+        matrix per row, (B, M, N) times an (N, K) ``b``: one gemm per row,
+        the call a lone row's (M, N) makes, and ``b``'s adjoint keeps one
+        (N, K) contribution per row."""
         av, bv = a.value, b.value
-        if av.ndim == 0 or bv.ndim == 0 or av.shape[-1] != bv.shape[0]:
+        if (av.ndim == 0 or bv.ndim not in (1, 2) or av.shape[-1] != bv.shape[0]
+                or av.ndim > 2 and bv.ndim != 2):
             raise ShapeMismatchError("matmul", av.shape, bv.shape)
         if av.ndim == 2 and bv.ndim == 1:
             vjp = lambda g: (np.outer(g, bv), av.T @ g)
         elif av.ndim == 1 and bv.ndim == 2:
             vjp = lambda g: (g @ bv.T, np.outer(av, g))
-        elif av.ndim == 2 and bv.ndim == 2:
-            vjp = lambda g: (g @ bv.T, av.T @ g)
+        elif bv.ndim == 2:  # (stacked) matrices @ matrix
+            vjp = lambda g: (g @ bv.T, av.swapaxes(-1, -2) @ g)
         else:  # vector . vector -> scalar
             vjp = lambda g: (g * bv, g * av)
         return self.emit(av @ bv, (a, b), vjp)
@@ -192,35 +201,39 @@ class Tape:
         )
 
     def lookup(self, table: Node, index: int | np.ndarray) -> Node:
-        """Row selection from a 2-D table (embedding lookup). A
-        non-recording tape also takes a vector of indices, one row each."""
+        """Row selection from a 2-D table (embedding lookup). A vector of B
+        indices selects one table row for each of B rows; the table's
+        adjoint then keeps one table per row, (B, V, E)."""
         tv = table.value
-        if tv.ndim != 2:
-            raise ShapeMismatchError("lookup", tv.shape, (index,))
+        value = tv[index] if tv.ndim == 2 else None
+        if value is None or value.ndim > 2:
+            raise ShapeMismatchError("lookup", tv.shape, np.shape(index))
         if not self.record:
-            return self.emit(tv[index])
-        index = int(index)
+            return self.emit(value)
+        at = _at(index, value.ndim == 2)
+        shape = value.shape[:-1] + tv.shape
 
         def vjp(g):
-            out = np.zeros_like(tv)
-            out[index] = g
+            out = np.zeros(shape)
+            out[at] = g
             return (out,)
 
-        return self.emit(tv[index], (table,), vjp)
+        return self.emit(value, (table,), vjp)
 
-    def pick(self, a: Node, index: int) -> Node:
-        """Element selection from a 1-D vector -> scalar."""
+    def pick(self, a: Node, index: int | np.ndarray) -> Node:
+        """Element selection from a 1-D vector -> scalar; from (B, V) rows
+        with a vector of B indices, one element per row -> (B,)."""
         av = a.value
-        if av.ndim != 1:
-            raise ShapeMismatchError("pick", av.shape, (index,))
-        index = int(index)
+        if av.ndim not in (1, 2):
+            raise ShapeMismatchError("pick", av.shape, np.shape(index))
+        at = _at(index, av.ndim == 2)
 
         def vjp(g):
             out = np.zeros_like(av)
-            out[index] = g
+            out[at] = g
             return (out,)
 
-        return self.emit(np.asarray(av[index]), (a,), vjp)
+        return self.emit(np.asarray(av[at]), (a,), vjp)
 
     def concat(self, parts: Sequence[Node]) -> Node:
         """Join ``parts`` along their last axis."""
@@ -231,28 +244,46 @@ class Tape:
         return self.emit(np.concatenate(values, axis=-1), tuple(parts), vjp)
 
     def stack_rows(self, rows: Sequence[Node]) -> Node:
-        value = np.stack([r.value for r in rows], axis=0)
-        return self.emit(value, tuple(rows), lambda g: tuple(g))
+        """Stack along a new axis before the parts' last: scalars into a
+        vector, vectors into a matrix, and (B, H) rows into (B, S, H), so
+        each row holds its own (S, H) stack."""
+        values = [r.value for r in rows]
+        if values[0].ndim < 2:
+            return self.emit(np.stack(values), tuple(rows), lambda g: tuple(g))
+        value = np.stack(values, axis=-2)
+        return self.emit(value, tuple(rows), lambda g: tuple(g.swapaxes(0, -2)))
 
-    def sum(self, a: Node) -> Node:
-        shape = a.value.shape
-        return self.emit(
-            np.asarray(a.value.sum()), (a,), lambda g: (np.full(shape, float(g)),)
-        )
+    def sum(self, a: Node, axis: int | None = None) -> Node:
+        """The sum of every element, or with ``axis=0`` the sum over the
+        first axis: a vector's total, or for a stacked (T, B) one total per
+        row, each added in the order the row's own vector sum would add."""
+        v, shape = a.value, a.value.shape
+        if axis is None:
+            value = v.sum()
+        elif axis == 0 and v.ndim in (1, 2):
+            # a contiguous last axis, so each row runs a vector's pairwise sum
+            value = np.ascontiguousarray(v.T).sum(axis=-1)
+        else:
+            raise DiffError(f"sum over axis {axis} of shape {shape}")
+        return self.emit(np.asarray(value), (a,), lambda g: (np.full(shape, g),))
 
     # -- gradient propagation --------------------------------------------
 
     def backward(self, seed: Node) -> dict[int, np.ndarray]:
-        """Populate adjoints from a scalar seed. Returns id(node) -> adjoint."""
-        if not self.record:
-            raise DiffError("backward on a non-recording tape")
+        """Propagate adjoints from a scalar seed. Returns id(leaf) -> adjoint;
+        the sweep drops every other node's adjoint once its VJP has run."""
         if seed.value.ndim != 0:
             raise DiffError(f"backward seed must be scalar, got shape {seed.value.shape}")
-        adjoints: dict[int, np.ndarray] = {id(seed): np.asarray(1.0)}
+        return self._sweep(seed)
+
+    def _sweep(self, seed: Node) -> dict[int, np.ndarray]:
+        if not self.record:
+            raise DiffError("backward on a non-recording tape")
+        adjoints: dict[int, np.ndarray] = {id(seed): np.ones(seed.value.shape)}
         for node in reversed(self.nodes):
             if node.vjp is None:
                 continue
-            g = adjoints.get(id(node))
+            g = adjoints.pop(id(node), None)
             if g is None:
                 continue
             for parent, contrib in zip(node.parents, node.vjp(g)):
@@ -265,17 +296,35 @@ class Tape:
         return adjoints
 
     def gradient(
-        self, seed: Node, store: "ParamStore", param_nodes: dict[str, Node]
-    ) -> np.ndarray:
-        """Backward pass returning the gradient in ParamStore linear order."""
-        adjoints = self.backward(seed)
-        out = np.zeros(store.size)
-        for name, (offset, arr) in store._layout.items():
-            node = param_nodes[name]
-            g = adjoints.get(id(node))
-            if g is not None:
-                out[offset : offset + arr.size] = np.ravel(g)
+        self, seed: Node, store: "ParamStore | None", param_nodes: dict[str, Node]
+    ) -> np.ndarray | dict[str, np.ndarray]:
+        """The seed's gradient: with a ``store``, in its linear order (P,);
+        without one, each parameter's adjoint by name. Parameters the seed
+        does not reach get zeros. A seed of one loss per row of a row batch
+        (B,) gives each adjoint a leading row axis, so the linear form is
+        one gradient per row, (B, P), each with the bits of sweeping its row
+        alone."""
+        rows = seed.value.shape
+        if len(rows) > 1:
+            raise DiffError(f"gradient seed must be a scalar or one loss per row, got shape {rows}")
+        adjoints = self._sweep(seed)
+        by_name = {
+            name: adjoints[id(node)] if id(node) in adjoints
+            else np.zeros(rows + node.value.shape)
+            for name, node in param_nodes.items()
+        }
+        if store is None:
+            return by_name
+        out = np.empty(rows + (store.size,))
+        for name, part in store.views(out).items():
+            part[...] = by_name.pop(name)
         return out
+
+
+def _at(index: int | np.ndarray, rows: bool):
+    """Where ``lookup`` and ``pick`` write an adjoint: ``index`` itself, or
+    with ``rows``, position index[i] of row i."""
+    return (np.arange(len(index)), index) if rows else int(index)
 
 
 class ParamStore:
@@ -312,14 +361,15 @@ class ParamStore:
     def size(self) -> int:
         return sum(arr.size for arr in self._tensors.values())
 
-    @property
-    def _layout(self) -> dict[str, tuple[int, np.ndarray]]:
-        layout = {}
-        offset = 0
+    def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
+        """Each tensor's slice of ``vector``'s last axis (of length ``size``),
+        in linear order, shaped like the tensor after any leading axes. The
+        slices are views: writing one writes ``vector``."""
+        lead, out, offset = vector.shape[:-1], {}, 0
         for name, arr in self._tensors.items():
-            layout[name] = (offset, arr)
+            out[name] = vector[..., offset : offset + arr.size].reshape(lead + arr.shape)
             offset += arr.size
-        return layout
+        return out
 
     def flat(self) -> np.ndarray:
         if not self._tensors:
@@ -330,10 +380,8 @@ class ParamStore:
         vector = np.asarray(vector, dtype=np.float64)
         if vector.shape != (self.size,):
             raise ShapeMismatchError("set_flat", vector.shape, (self.size,))
-        offset = 0
-        for arr in self._tensors.values():
-            arr[...] = vector[offset : offset + arr.size].reshape(arr.shape)
-            offset += arr.size
+        for name, part in self.views(vector).items():
+            self._tensors[name][...] = part
 
     def copy(self) -> "ParamStore":
         out = ParamStore()

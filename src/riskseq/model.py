@@ -6,17 +6,20 @@ The per-step readout is tanh of an affine map of [previous embedding,
 decoder state, attention context] followed by a linear output projection.
 
 All weight matrices are stored (in_dim, out_dim) and applied as x @ W so
-the tape only ever needs vector-matrix products. A non-recording decoder
-step also takes a batch of rows (B token ids, (B, H) states); beam search
-steps its live hypotheses so. Its products go through ``_vm``, whose
-stacked form makes one gemv call per row, the call a single row makes, so
-every row keeps the bits of stepping it alone.
+the tape only ever needs vector-matrix products. Encoding and decoder steps
+also take a batch of rows: B sources of one length, B token ids and (B, H)
+states. Beam search steps its live hypotheses so, without recording, and
+MLE steps sentences of one shape so on a recording tape. Every product,
+forward and VJP, goes through ``_vm``, whose stacked form makes one gemv
+call per row, the call a single row makes, and parameter contributions keep
+a leading row axis. So every row keeps the bits of stepping it alone, its
+gradient included.
 
-A GRU step, the attention and the readout are each one fused tape node
-(see ``diffcore``). Their forwards run the numpy calls of the primitive
-chains named in their docstrings, and their VJPs add every adjoint
-contribution in the order those chains' reverse sweep would, so gradients
-are bit-identical to the primitive-built model.
+A GRU step, the attention, the readout and the initial state are each one
+fused tape node (see ``diffcore``). Their forwards run the numpy calls of
+the primitive chains named in their docstrings, and their VJPs add every
+adjoint contribution in the order those chains' reverse sweep would, so
+gradients are bit-identical to the primitive-built model.
 """
 
 from __future__ import annotations
@@ -166,8 +169,15 @@ def _rows_vm(X: np.ndarray, W: np.ndarray) -> np.ndarray:
 def _vm(x: np.ndarray):
     """The vector-matrix product for x's shape: plain ``np.matmul`` (what
     ``x @ W`` calls) for one row, ``_rows_vm`` for stacked rows. A fused
-    node chooses once, so one row's products cost what ``@`` costs."""
+    node chooses once, so one row's products cost what ``@`` costs. Its VJP
+    uses the same product, with ``W`` a parameter's transpose or one matrix
+    per row."""
     return np.matmul if x.ndim == 1 else _rows_vm
+
+
+def _outer(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The outer product of x and g, one (n, m) table per stacked row."""
+    return x[..., None] * g[..., None, :]
 
 
 @dataclass
@@ -213,16 +223,16 @@ class BoundModel:
             # through z * hbar, then through keep = 1 + z * -1.0.
             dz = g * hbar + g * hv * -1.0
             dh_pre = g * z * (1.0 - hbar * hbar)
-            drh = dh_pre @ Uh.value.T
+            drh = vm(dh_pre, Uh.value.T)
             dr_pre = drh * hv * r * (1.0 - r)
             dz_pre = dz * z * keep
             return (
-                g * keep, dh_pre, rh[:, None] * dh_pre,
-                dh_pre @ Wh.value.T, xv[:, None] * dh_pre, drh * r,
-                dr_pre, dr_pre @ Ur.value.T, hv[:, None] * dr_pre,
-                dr_pre @ Wr.value.T, xv[:, None] * dr_pre,
-                dz_pre, dz_pre @ Uz.value.T, hv[:, None] * dz_pre,
-                dz_pre @ Wz.value.T, xv[:, None] * dz_pre,
+                g * keep, dh_pre, _outer(rh, dh_pre),
+                vm(dh_pre, Wh.value.T), _outer(xv, dh_pre), drh * r,
+                dr_pre, vm(dr_pre, Ur.value.T), _outer(hv, dr_pre),
+                vm(dr_pre, Wr.value.T), _outer(xv, dr_pre),
+                dz_pre, vm(dz_pre, Uz.value.T), _outer(hv, dz_pre),
+                vm(dz_pre, Wz.value.T), _outer(xv, dz_pre),
             )
 
         # Sweep order: h gets four contributions (through keep * h, r * h,
@@ -230,27 +240,34 @@ class BoundModel:
         parents = (h, bh, Uh, x, Wh, h, br, h, Ur, x, Wr, bz, h, Uz, x, Wz)
         return self.tape.emit(keep * hv + z * hbar, parents, vjp)
 
-    def encode(self, src: Sequence[int]) -> Annotations:
+    def encode(self, src: Sequence[int] | np.ndarray) -> Annotations:
+        """Annotations of a source sentence, given by its token ids in
+        order. Each position may instead hold a vector of B ids, for B
+        sentences of one length (a (S, B) array); every node then holds B
+        rows, each byte-equal to encoding its sentence alone, and ``matrix``
+        is (B, S, 2H)."""
         t, p = self.tape, self.pn
-        if not src:
+        ids = np.asarray(src)
+        toks = ids.ravel().tolist()  # a Python loop checks a few ids fastest
+        if not toks:
             raise ModelError("empty source sentence")
-        for tok in src:
+        for tok in toks:
             if not 0 <= tok < self.src_vocab_size:
                 raise ModelError(f"source token id {tok} out of range")
-        if any(tok == PAD for tok in src):
+        if PAD in toks:
             raise ModelError("PAD inside source sentence")
         hidden = self.store["dec_init_b"].shape[0]
-        embeds = [t.lookup(p["src_embed"], tok) for tok in src]
+        embeds = [t.lookup(p["src_embed"], tok) for tok in ids]
 
-        h = t.const(np.zeros(hidden))
+        h = t.const(np.zeros(ids.shape[1:] + (hidden,)))
         fwd = []
         for e in embeds:
             h = self._gru_step("enc_fwd", e, h)
             fwd.append(h)
 
-        h = t.const(np.zeros(hidden))
-        bwd = [None] * len(src)
-        for i in reversed(range(len(src))):
+        h = t.const(np.zeros(ids.shape[1:] + (hidden,)))
+        bwd = [None] * len(ids)
+        for i in reversed(range(len(ids))):
             h = self._gru_step("enc_bwd", embeds[i], h)
             bwd[i] = h
 
@@ -259,8 +276,17 @@ class BoundModel:
         return Annotations(matrix=matrix, attn_proj=attn_proj, bwd_first=bwd[0])
 
     def initial_state(self, ann: Annotations) -> Node:
-        t, p = self.tape, self.pn
-        return t.tanh(t.add(t.matmul(ann.bwd_first, p["dec_init_W"]), p["dec_init_b"]))
+        """tanh(bwd_first dec_init_W + dec_init_b), one fused node standing
+        for matmul, add and tanh; a row of bwd_first gives a row of state."""
+        W, b, first = self.pn["dec_init_W"], self.pn["dec_init_b"], ann.bwd_first
+        vm = _vm(first.value)
+        value = np.tanh(vm(first.value, W.value) + b.value)
+
+        def vjp(g):
+            dpre = g * (1.0 - value * value)
+            return (dpre, vm(dpre, W.value.T), _outer(first.value, dpre))
+
+        return self.tape.emit(value, (b, first, W), vjp)
 
     def _attend(self, z: Node, ann: Annotations) -> Node:
         """The context weights @ matrix, with attention weights
@@ -272,13 +298,14 @@ class BoundModel:
         weights = np.exp(log_softmax(e @ v.value))
 
         def vjp(g):
-            dw = g @ matrix.value.T
+            # A recording row step has one annotation matrix per row.
+            dw = vm(g, matrix.value.swapaxes(-1, -2))
             ds = weights * (dw - np.sum(dw * weights, axis=-1, keepdims=True))
-            de = ds[:, None] * v.value * (1.0 - e * e)
-            dze = de.sum(axis=0)
+            de = ds[..., None] * v.value * (1.0 - e * e)
+            dze = de.sum(axis=-2)
             return (
-                weights[:, None] * g, e.T @ ds, de,
-                dze @ W.value.T, z.value[:, None] * dze,
+                _outer(weights, g), vm(ds, e), de,
+                vm(dze, W.value.T), _outer(z.value, dze),
             )
 
         return self.tape.emit(
@@ -295,11 +322,11 @@ class BoundModel:
         lo, hi = emb.value.shape[-1], emb.value.shape[-1] + z_new.value.shape[-1]
 
         def vjp(g):
-            dsum = (g @ oW.value.T) * (1.0 - readout * readout)
-            dc = dsum @ rW.value.T
+            dsum = vm(g, oW.value.T) * (1.0 - readout * readout)
+            dc = vm(dsum, rW.value.T)
             return (
-                g, readout[:, None] * g, dsum, c[:, None] * dsum,
-                dc[:lo], dc[lo:hi], dc[hi:],
+                g, _outer(readout, g), dsum, _outer(c, dsum),
+                dc[..., :lo], dc[..., lo:hi], dc[..., hi:],
             )
 
         parents = (ob, oW, rb, rW, emb, z_new, context)
@@ -309,13 +336,12 @@ class BoundModel:
         self, prev_word: int | np.ndarray, z: Node, ann: Annotations
     ) -> tuple[Node, Node]:
         """Logits of the token after ``prev_word`` and the decoder state z
-        after it. On a non-recording tape, ``prev_word`` may be a vector of
-        B token ids with ``z`` holding B rows; logits and state then hold B
-        rows, each byte-equal to stepping that row alone."""
+        after it. ``prev_word`` may be a vector of B token ids with ``z``
+        holding B rows; logits and state then hold B rows, each byte-equal to
+        stepping that row alone. A recording row step needs annotations
+        encoded from the same B rows (see ``encode``)."""
         t, p = self.tape, self.pn
         if isinstance(prev_word, np.ndarray):
-            if t.record:
-                raise DiffError("a recording tape steps one row at a time")
             bad = prev_word[(prev_word < 0) | (prev_word >= self.tgt_vocab_size)]
             if bad.size:
                 raise ModelError(f"target token id {bad[0]} out of range")
@@ -336,12 +362,13 @@ class PrefixMemo:
     stepped once however many callers share it. The values are those of
     stepping the model afresh: the same primitives run on the same inputs.
     Sampling, rescoring and scoring step the decoder through a memo on its
-    default non-recording tape. Training passes a recording ``tape``; each
+    default non-recording tape. MRT passes a recording ``tape``; each
     prefix then also keeps the nodes its step emitted (the empty prefix,
     ``initial_state``'s too), which ``logprob_node`` picks from for the
     first target it scores and re-emits for every later one. Beam search
-    keeps its own state rows (see ``decoder``), and the oracle's
-    enumeration its own walk as an independent reference.
+    keeps its own state rows (see ``decoder``), MLE walks row batches (see
+    ``mrt.mle_loss_and_grad``), and the oracle's enumeration its own walk
+    as an independent reference.
     """
 
     def __init__(self, params: ParamStore, src: Sequence[int], tape: Tape | None = None):
@@ -468,8 +495,11 @@ def save_model(
 
 def _read_sidecar(path: str) -> tuple[ModelConfig, dict[str, str]]:
     """The sidecar's config and the vocab hashes it records, if any."""
-    with open(path + ".json", "r", encoding="utf-8") as fh:
-        d = json.load(fh)
+    try:
+        with open(path + ".json", "r", encoding="utf-8") as fh:
+            d = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ModelError(f"{path}.json: {exc}") from None
     if not isinstance(d, dict):
         raise ModelError(f"{path}.json: expected a JSON object")
     recorded = {key: d.pop(key) for key in VOCAB_KEYS if key in d}

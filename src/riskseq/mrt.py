@@ -9,7 +9,9 @@ baseline subtraction and holds the candidate set fixed.
 Sampling, rescoring and the risk gradient step the decoder through one
 per-source ``model.PrefixMemo``, so a state shared by several trajectories
 or candidates is computed once; spaces and gradients are bit-identical to
-stepping the model afresh for every trajectory and candidate.
+stepping the model afresh for every trajectory and candidate. MLE steps
+the sentences of one shape as one row batch on one recording tape, with
+each row's loss and gradient bit-identical to walking it alone.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .diffcore import ParamStore, Tape, log_softmax
-from .model import EOS, PrefixMemo, _checked_target
+from .model import BOS, EOS, BoundModel, PrefixMemo, _checked_target, _validate_target
 
 __all__ = [
     "MrtError",
@@ -35,6 +37,10 @@ __all__ = [
     "DEFAULT_ALPHA",
     "DEFAULT_K",
 ]
+
+# Pairs per MLE chunk: a chunk holds one gradient per pair until it is done
+# (8 of the recipe model's come to 1.8 MB).
+MLE_CHUNK = 8
 
 # Sharpness of the Q-distribution and sample-attempt count defaults.
 DEFAULT_ALPHA = 5e-3
@@ -228,14 +234,76 @@ def mle_loss_and_grad(
 ) -> tuple[float, np.ndarray]:
     """Negative log-likelihood of a batch of (source, EOS-terminated target)
     pairs, such as ``data.SentencePair``, and its gradient, summed over
-    sentences in index order."""
+    sentences in index order.
+
+    The batch runs in chunks of ``MLE_CHUNK`` pairs. Within a chunk, the
+    pairs of one (source length, target length) run as one row batch on one
+    tape, one group at a time. No row is padded, so each row's loss and
+    gradient keep the bits of walking its sentence alone. Once a chunk is
+    done, its rows are added in index order to sums that start from zero;
+    until then it holds one gradient per pair."""
     if not batch:
         raise MrtError("empty batch")
-    loss = 0.0
-    grad = np.zeros(params.size)
-    for src, tgt in batch:
-        memo = PrefixMemo(params, src, Tape())
-        nll = memo.bound.tape.scale(memo.logprob_node(_checked_target(tgt)), -1.0)
-        loss += float(nll.value)
-        grad += memo.bound.tape.gradient(nll, params, memo.bound.pn)
+    vocab = params["out_b"].shape[0]
+    for _, tgt in batch:
+        _validate_target(_checked_target(tgt), vocab)
+    loss, grad = 0.0, np.zeros(params.size)
+    sums = list(params.views(grad).values())
+    for start in range(0, len(batch), MLE_CHUNK):
+        loss = _add_chunk(params, batch[start : start + MLE_CHUNK], loss, sums)
     return loss, grad
+
+
+def _add_chunk(
+    params: ParamStore,
+    pairs: Sequence[tuple[Sequence[int], Sequence[int]]],
+    loss: float,
+    sums: list[np.ndarray],
+) -> float:
+    """``loss`` plus the pairs' losses, with their gradients added into
+    ``sums`` (one array per parameter), pair by pair in order. The pairs of
+    one shape are one row batch."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (src, tgt) in enumerate(pairs):
+        groups.setdefault((len(src), len(tgt)), []).append(i)
+    done: dict[int, tuple[float, list[np.ndarray]]] = {}
+    for rows in groups.values():
+        nll, adjoints = _rows_nll_and_adjoints(params, [pairs[i] for i in rows])
+        done.update((i, (nll[b], [g[b] for g in adjoints])) for b, i in enumerate(rows))
+    for i in range(len(pairs)):
+        nll, row = done.pop(i)
+        loss += float(nll)
+        for acc, g in zip(sums, row):
+            acc += g
+    return loss
+
+
+def _rows_nll_and_adjoints(
+    params: ParamStore, pairs: Sequence[tuple[Sequence[int], Sequence[int]]]
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Negative log-likelihoods (B,) of B checked pairs of one shape, walked
+    as one row batch on one tape, and each parameter's adjoints (B, ...), in
+    the parameters' linear order."""
+    tape = Tape()
+    bound = BoundModel(params, tape)
+    ann = bound.encode(_by_position([src for src, _ in pairs]))
+    tgt = _by_position([(BOS, *tgt) for _, tgt in pairs])
+    z, picks = bound.initial_state(ann), []
+    for prev, tok in zip(tgt[:-1], tgt[1:]):
+        logits, z = bound.step_logits(prev, z, ann)
+        picks.append(tape.pick(tape.log_softmax(logits), tok))
+    seed = tape.scale(tape.sum(tape.stack_rows(picks), axis=0), -1.0)
+    adjoints = tape.gradient(seed, None, bound.pn)
+    B = len(pairs)  # a lone pair walks 1-D: give it its row axis back
+    return seed.value.reshape(B), [
+        adjoints[name].reshape((B,) + arr.shape) for name, arr in params.items()
+    ]
+
+
+def _by_position(seqs: Sequence[Sequence[int]]) -> np.ndarray:
+    """Token ids of equal-length sequences position by position: a lone
+    sequence's ids, or for B sequences a (L, B) array, one row per
+    position, so one sequence steps with 1-D operands."""
+    if len(seqs) == 1:
+        return np.asarray(seqs[0])
+    return np.array(seqs).T

@@ -160,7 +160,7 @@ def train(
     info = metrics.info_table_for(cfg.loss_kind, [p.tgt for p in train_corpus.pairs])
 
     curve: list[CurvePoint] = []
-    best_params = params.copy()
+    best_params: ParamStore | None = None  # set at the first validation
     best_bleu: float | None = None
     t0 = time.perf_counter()
 

@@ -573,6 +573,18 @@ class TestUnreadableFiles:
         _one_line_data_error(code, out, err)
         assert not any(os.path.exists(f) for f in ("hyp.txt", "v.txt", "m.ckpt"))
 
+    @pytest.mark.parametrize(
+        "kind, content",
+        [("input", NOT_UTF8), ("vocab", NOT_UTF8), ("sidecar", NOT_UTF8),
+         ("config", b"{bad json"), ("sidecar", b"{bad json")],
+    )
+    def test_error_names_the_file(self, trained, workdir, capsys, kind, content):
+        bad = "model.ckpt.json" if kind == "sidecar" else "bad.txt"
+        (workdir / bad).write_bytes(content)
+        code, out, err = run(capsys, *self.ARGV[kind], "--quiet")
+        _one_line_data_error(code, out, err)
+        assert f"error: {bad}: " in err or f"error: config {bad}: " in err
+
 
 class TestReservedWords:
     """<pad>, <eos> and <bos> in a line a model reads are data errors, found

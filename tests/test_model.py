@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_logprob_nodes
-from riskseq.diffcore import DiffError, Node, ParamStore, Tape, log_softmax
+from riskseq.diffcore import Node, ParamStore, Tape, log_softmax
 from riskseq.model import (
     BOS,
     EOS,
@@ -21,6 +21,7 @@ from riskseq.model import (
     ModelConfig,
     ModelError,
     PrefixMemo,
+    _outer,
     _vm,
     check_params,
     init_params,
@@ -38,9 +39,9 @@ from riskseq.mrt import (
 
 
 # -- per-op reference ------------------------------------------------------
-# The GRU step, attention and readout built from tape primitives, one node
-# per primitive. BoundModel fuses each into one node whose values and
-# gradient bits must equal these.
+# The GRU step, attention, readout and initial state built from tape
+# primitives, one node per primitive. BoundModel fuses each into one node
+# whose values and gradient bits must equal these.
 
 
 def per_op_gru_step(self, prefix, x, h):
@@ -75,12 +76,17 @@ def per_op_readout(self, emb, z_new, context):
     return t.add(t.matmul(readout, p["out_W"]), p["out_b"])
 
 
+def per_op_initial_state(self, ann):
+    t, p = self.tape, self.pn
+    return t.tanh(t.add(t.matmul(ann.bwd_first, p["dec_init_W"]), p["dec_init_b"]))
+
+
 def per_op_model():
     """Patch BoundModel to step through the per-op reference (a context
     manager; ``.start()`` patches for the rest of the process)."""
     return mock.patch.multiple(
         BoundModel, _gru_step=per_op_gru_step, _attend=per_op_attend,
-        _readout=per_op_readout,
+        _readout=per_op_readout, initial_state=per_op_initial_state,
     )
 
 
@@ -370,22 +376,57 @@ class TestRowBatchedSteps:
     )
     @settings(max_examples=60, deadline=None)
     def test_stacked_products_equal_one_d_products(self, seed, rows, positions, dims):
-        """Each product form of a decoder step, at a model's shapes and
-        stacked over rows, equals the 1-D product row by row, byte for
-        byte. This rests on numpy's matmul making one gemv call per stacked
-        item whose row dimension is 1, the same call a 1-D ``x @ W`` or
-        ``e @ v`` makes; a 2-D ``X @ W`` is one gemm and sums in another
-        order. A numpy or BLAS that dispatches otherwise fails here first."""
+        """Each product form of a decoder step and of its VJP, at a model's
+        shapes and stacked over rows, equals the 1-D form row by row, byte
+        for byte. This rests on numpy's matmul making one gemv call per
+        stacked item whose row dimension is 1, the same call a 1-D
+        ``x @ W`` or ``e @ v`` makes; a 2-D ``X @ W`` is one gemm and sums
+        in another order. A numpy or BLAS that dispatches otherwise fails
+        here first."""
         E, H, A, V = dims
         rng = np.random.default_rng(seed)
-        # GRU x and h products, attention z @ W and weights @ matrix, readout
-        for n, m in ((E + 2 * H, H), (H, H), (H, A), (positions, 2 * H),
+
+        def per_row(f, *stacked):
+            return np.stack([f(*row) for row in zip(*stacked)]).tobytes()
+
+        # GRU x and h products (decoder and encoder), attention z @ W and
+        # weights @ matrix, readout, and the initial state
+        for n, m in ((E + 2 * H, H), (H, H), (E, H), (H, A), (positions, 2 * H),
                      (E + 3 * H, H), (H, V)):
             X, W = rng.normal(size=(rows, n)), rng.normal(size=(n, m))
+            G = rng.normal(size=(rows, m))
             assert _vm(X[0])(X[0], W).tobytes() == (X[0] @ W).tobytes()
-            assert _vm(X)(X, W).tobytes() == np.stack([x @ W for x in X]).tobytes()
+            assert _vm(X)(X, W).tobytes() == per_row(lambda x: x @ W, X)
+            # the VJPs' g @ W.T and outer products x (x) g
+            assert _vm(G[0])(G[0], W.T).tobytes() == (G[0] @ W.T).tobytes()
+            assert _vm(G)(G, W.T).tobytes() == per_row(lambda g: g @ W.T, G)
+            assert _outer(X[0], G[0]).tobytes() == (X[0][:, None] * G[0]).tobytes()
+            assert _outer(X, G).tobytes() == per_row(lambda x, g: x[:, None] * g, X, G)
+        # attention with one annotation matrix per row: the forward's e @ v
+        # and weights @ matrix, the VJP's g @ matrix.T, e.T @ ds (as ds @ e)
+        # and de.sum(axis=0)
         e, v = rng.normal(size=(rows, positions, A)), rng.normal(size=A)
-        assert (e @ v).tobytes() == np.stack([m @ v for m in e]).tobytes()
+        matrix = rng.normal(size=(rows, positions, 2 * H))
+        weights, ds = rng.normal(size=(2, rows, positions))
+        g = rng.normal(size=(rows, 2 * H))
+        assert (e @ v).tobytes() == per_row(lambda m: m @ v, e)
+        assert _vm(weights)(weights, matrix).tobytes() == per_row(
+            lambda w, m: w @ m, weights, matrix)
+        assert _vm(g)(g, matrix.swapaxes(-1, -2)).tobytes() == per_row(
+            lambda g, m: g @ m.T, g, matrix)
+        assert _vm(ds[0])(ds[0], e[0]).tobytes() == (e[0].T @ ds[0]).tobytes()
+        assert _vm(ds)(ds, e).tobytes() == per_row(lambda d, m: m.T @ d, ds, e)
+        assert e.sum(axis=-2).tobytes() == per_row(lambda m: m.sum(axis=0), e)
+        assert e[0].sum(axis=-2).tobytes() == e[0].sum(axis=0).tobytes()
+        # the encoder's matrix @ attn_U and its VJP's matrix.T @ g
+        U, gp = rng.normal(size=(2 * H, A)), rng.normal(size=(rows, positions, A))
+        assert (matrix @ U).tobytes() == per_row(lambda m: m @ U, matrix)
+        assert (matrix.swapaxes(-1, -2) @ gp).tobytes() == per_row(
+            lambda m, g: m.T @ g, matrix, gp)
+        # per-row sums of stacked (T, B) picks, T = positions
+        picks = Node(rng.normal(size=(positions, rows)))
+        summed = Tape(record=False).sum(picks, axis=0).value
+        assert summed.tobytes() == per_row(lambda p: p.sum(), picks.value.T)
 
     def test_stacked_products_equal_with_two_blas_threads(self, tmp_path):
         tests_dir = Path(__file__).resolve().parent
@@ -447,12 +488,41 @@ class TestRowBatchedSteps:
             assert logdist.tobytes() == fresh.next_logdist(p).tobytes()
             assert row.tobytes() == fresh._steps[p][1].value.tobytes()
 
-    def test_recording_tape_steps_one_row(self, tiny):
-        _, params = tiny
-        bound = BoundModel(params, Tape())
-        ann = bound.encode([4, 5])
-        with pytest.raises(DiffError, match="one row"):
-            bound.step_logits(np.array([BOS]), bound.initial_state(ann), ann)
+    @given(
+        seed=st.integers(0, 10**6),
+        dims=st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8)),
+        vocab=st.integers(4, 10),
+        shape=st.tuples(st.integers(2, 5), st.integers(1, 6), st.integers(1, 12)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_recording_rows_equal_single_row_tapes(self, seed, dims, vocab, shape):
+        """A recording row-batched encode, initial state and step_logits
+        walk, seeded with one loss per row, gives each row the loss and
+        ``Tape.gradient`` bits of the same walk on its own 1-D tape."""
+        E, H, A = dims
+        rows, S, T = shape
+        params = init_params(ModelConfig(vocab, vocab, E, H, A), seed)
+        rng = np.random.default_rng(seed)
+        params.set_flat(params.flat() + rng.normal(size=params.size))
+        src = rng.integers(1, vocab, size=(rows, S))
+        prev, tok = rng.integers(0, vocab, size=(2, rows, T))
+
+        def walk(src, prev, tok):  # token ids by position
+            bound = BoundModel(params, Tape())
+            t, ann = bound.tape, bound.encode(src)
+            z, picks = bound.initial_state(ann), []
+            for p, k in zip(prev, tok):
+                logits, z = bound.step_logits(p, z, ann)
+                picks.append(t.pick(t.log_softmax(logits), k))
+            loss = t.sum(t.stack_rows(picks), axis=0)
+            return loss.value, t.gradient(loss, params, bound.pn)
+
+        loss, grad = walk(src.T, prev.T, tok.T)
+        assert loss.shape == (rows,) and grad.shape == (rows, params.size)
+        for b in range(rows):
+            one_loss, one_grad = walk(src[b], prev[b], tok[b])
+            assert loss[b].tobytes() == one_loss.tobytes()
+            assert grad[b].tobytes() == one_grad.tobytes()
 
     def test_out_of_range_row_token_rejected(self, tiny):
         _, params = tiny

@@ -412,8 +412,8 @@ def random_model(draw):
 
 
 class TestOneDecoderWalk:
-    """Training steps the decoder through the prefix memo; its gradients
-    equal the unmemoised walk's byte for byte."""
+    """MRT steps the decoder through the prefix memo and MLE through row
+    batches; their gradients equal the unmemoised walk's byte for byte."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -487,6 +487,29 @@ class TestOneDecoderWalk:
             )
             for _ in range(n_pairs)
         ]
+        loss, grad = mle_loss_and_grad(params, batch)
+        ref_loss, ref_grad = reference_mle_loss_and_grad(params, batch)
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n_pairs=st.integers(2, 12))
+    def test_mle_row_groups_byte_equal_to_reference(self, data, n_pairs):
+        """Pairs of at most three (source length, target length) shapes in
+        shuffled order, so groups of several rows and singletons mix. One
+        shape's targets hold 9-12 tokens, so each row's pick sum runs past
+        numpy's 8-element pairwise block."""
+        params, vocab, _ = random_model(data.draw)
+        long_shape = st.tuples(st.integers(1, 5), st.integers(9, 12))
+        shapes = [data.draw(long_shape)] + data.draw(st.lists(
+            st.tuples(st.integers(1, 5), st.integers(1, 12)), max_size=2))
+        batch = []
+        for _ in range(n_pairs):
+            src_len, tgt_len = data.draw(st.sampled_from(shapes))
+            src = st.lists(st.integers(1, 5), min_size=src_len, max_size=src_len)
+            body = st.lists(st.integers(2, vocab - 1), min_size=tgt_len - 1,
+                            max_size=tgt_len - 1)
+            batch.append((data.draw(src), data.draw(body) + [EOS]))
         loss, grad = mle_loss_and_grad(params, batch)
         ref_loss, ref_grad = reference_mle_loss_and_grad(params, batch)
         assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()

@@ -237,7 +237,9 @@ class TestTrainMrt:
 # Trains the acceptance recipe's MLE config for 60 updates, then 3 MRT
 # updates at k=20, and writes the final parameter bytes to stdout. With the
 # argument "per-op" the model steps through the per-op reference of
-# tests/test_model.py instead of its fused nodes.
+# tests/test_model.py instead of its fused nodes, and MLE walks each
+# sentence alone (conftest's reference) instead of in row batches, which
+# the 1-D primitives cannot step.
 _RECIPE_SCRIPT = """
 import sys
 from riskseq.data import gen_synthetic
@@ -247,8 +249,11 @@ from test_acceptance import (LEXICON_DATA_SEED, LEXICON_LEN_RANGE,
     LEXICON_PAIRS, LEXICON_VOCAB, MLE_RECIPE, MRT_RECIPE, RECIPE_MODEL)
 
 if sys.argv[1:] == ["per-op"]:
+    from unittest import mock
+    from conftest import reference_mle_loss_and_grad
     from test_model import per_op_model
     per_op_model().start()
+    mock.patch("riskseq.mrt.mle_loss_and_grad", reference_mle_loss_and_grad).start()
 train_c, _, _ = gen_synthetic("lexicon", LEXICON_VOCAB, LEXICON_PAIRS,
                               LEXICON_LEN_RANGE, seed=LEXICON_DATA_SEED)
 model_cfg = ModelConfig(**RECIPE_MODEL)
