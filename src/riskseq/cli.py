@@ -256,10 +256,10 @@ def cmd_sample(args) -> int:
         src = src_vocab.encode(src_words)
         gold = tgt_vocab.encode(gold_words) + [EOS]
         rng = np.random.default_rng([args.seed, i])
-        space = mrt.sample_space(params, src, gold, args.k, model_cfg.max_len, rng)
-        q = mrt.q_distribution(space, args.alpha)
-        for cand, lp, w in zip(space.candidates, space.logprobs, q):
-            loss = metrics.delta(kind, cand, gold, info)
+        space, losses, q, _ = mrt.sentence_risk(
+            params, src, gold, kind, args.alpha, args.k, model_cfg.max_len, rng, info
+        )
+        for cand, lp, loss, w in zip(space.candidates, space.logprobs, losses, q):
             tokens = " ".join(tgt_vocab.decode([t for t in cand if t != EOS]))
             print(f"{lp:.6f}\t{loss:.6f}\t{w:.6f}\t{tokens}")
     return 0
@@ -278,8 +278,8 @@ def cmd_oracle(args) -> int:
         raise DataError(f"--max-len must be >= 3 (2 gold tokens + EOS), got {args.max_len}")
     if min(args.ks) < 1:
         raise DataError(f"--ks must all be >= 1, got {min(args.ks)}")
-    if not args.alpha > 0:
-        raise DataError(f"alpha must be positive, got {args.alpha}")
+    if not 0 < args.alpha < np.inf:
+        raise DataError(f"alpha must be positive and finite, got {args.alpha}")
     _check_n_seeds(args.n_seeds)
     kind = LossKind.parse(args.loss)
     model_cfg = ModelConfig(

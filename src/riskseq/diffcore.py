@@ -107,7 +107,7 @@ class Tape:
 
     With ``record=False`` the same operations compute forward values only
     and keep no node list -- used for sampling and decoding where
-    gradients are not needed. ``backward`` is only valid on a recording tape.
+    gradients are not needed. ``gradient`` is only valid on a recording tape.
     """
 
     def __init__(self, record: bool = True):
@@ -269,17 +269,22 @@ class Tape:
 
     # -- gradient propagation --------------------------------------------
 
-    def backward(self, seed: Node) -> dict[int, np.ndarray]:
-        """Propagate adjoints from a scalar seed. Returns id(leaf) -> adjoint;
-        the sweep drops every other node's adjoint once its VJP has run."""
-        if seed.value.ndim != 0:
-            raise DiffError(f"backward seed must be scalar, got shape {seed.value.shape}")
-        return self._sweep(seed)
-
-    def _sweep(self, seed: Node) -> dict[int, np.ndarray]:
+    def gradient(
+        self, seed: Node, store: "ParamStore | None", param_nodes: dict[str, Node]
+    ) -> np.ndarray | dict[str, np.ndarray]:
+        """The seed's gradient: with a ``store``, in its linear order (P,);
+        without one, each parameter's adjoint by name. Parameters the seed
+        does not reach get zeros. A seed of one loss per row of a row batch
+        (B,) gives each adjoint a leading row axis, so the linear form is
+        one gradient per row, (B, P), each with the bits of sweeping its row
+        alone."""
         if not self.record:
-            raise DiffError("backward on a non-recording tape")
-        adjoints: dict[int, np.ndarray] = {id(seed): np.ones(seed.value.shape)}
+            raise DiffError("gradient on a non-recording tape")
+        rows = seed.value.shape
+        if len(rows) > 1:
+            raise DiffError(f"gradient seed must be a scalar or one loss per row, got shape {rows}")
+        # the sweep drops every other node's adjoint once its VJP has run
+        adjoints: dict[int, np.ndarray] = {id(seed): np.ones(rows)}
         for node in reversed(self.nodes):
             if node.vjp is None:
                 continue
@@ -293,21 +298,6 @@ class Tape:
                     adjoints[key] = np.array(contrib, dtype=np.float64)
                 else:
                     acc += contrib
-        return adjoints
-
-    def gradient(
-        self, seed: Node, store: "ParamStore | None", param_nodes: dict[str, Node]
-    ) -> np.ndarray | dict[str, np.ndarray]:
-        """The seed's gradient: with a ``store``, in its linear order (P,);
-        without one, each parameter's adjoint by name. Parameters the seed
-        does not reach get zeros. A seed of one loss per row of a row batch
-        (B,) gives each adjoint a leading row axis, so the linear form is
-        one gradient per row, (B, P), each with the bits of sweeping its row
-        alone."""
-        rows = seed.value.shape
-        if len(rows) > 1:
-            raise DiffError(f"gradient seed must be a scalar or one loss per row, got shape {rows}")
-        adjoints = self._sweep(seed)
         by_name = {
             name: adjoints[id(node)] if id(node) in adjoints
             else np.zeros(rows + node.value.shape)

@@ -4,7 +4,10 @@ The candidate space for a sentence is built by ancestral sampling from the
 model's per-step distributions (k attempts, duplicates removed, gold
 inserted first). Risk is the expectation of a sentence-level loss under
 the alpha-sharpened Q-distribution over that space; its gradient uses
-baseline subtraction and holds the candidate set fixed.
+baseline subtraction and holds the candidate set fixed. ``sentence_risk``
+is one sentence's sample -> loss -> Q -> risk. ``mrt_loss_and_grad`` and
+``mle_loss_and_grad`` are the two batch objectives: a summed loss and
+gradient.
 
 Sampling, rescoring and the risk gradient step the decoder through one
 per-source ``model.PrefixMemo``, so a state shared by several trajectories
@@ -21,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import metrics
 from .diffcore import ParamStore, Tape, log_softmax
 from .model import BOS, EOS, BoundModel, PrefixMemo, _checked_target, _validate_target
 
@@ -33,6 +37,8 @@ __all__ = [
     "q_distribution",
     "expected_risk",
     "mrt_grad",
+    "sentence_risk",
+    "mrt_loss_and_grad",
     "mle_loss_and_grad",
     "DEFAULT_ALPHA",
     "DEFAULT_K",
@@ -180,8 +186,8 @@ def sample_space(
 def q_distribution(space: SampledSpace, alpha: float) -> np.ndarray:
     """Q's weight per candidate: probabilities proportional to
     P(y|x)^alpha, normalized in log space."""
-    if alpha <= 0:
-        raise MrtError(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < np.inf:
+        raise MrtError(f"alpha must be positive and finite, got {alpha}")
     logprobs = np.asarray(space.logprobs, dtype=np.float64)
     if not np.all(np.isfinite(logprobs)):
         raise MrtError("non-finite candidate log-probabilities")
@@ -227,6 +233,45 @@ def mrt_grad(
         terms.append(tape.scale(memo.logprob_node(cand), coeffs[i]))
     seed = tape.sum(tape.stack_rows(terms))
     return tape.gradient(seed, params, memo.bound.pn)
+
+
+def sentence_risk(
+    params: ParamStore, src: Sequence[int], gold: Sequence[int], kind: metrics.LossKind,
+    alpha: float, k: int, max_len: int, rng: np.random.Generator, info=None,
+    *, memo: PrefixMemo | None = None,
+) -> tuple[SampledSpace, np.ndarray, np.ndarray, RiskReport]:
+    """One sentence's sampled space, each candidate's loss against ``gold``
+    (``info`` is the NIST loss's table), Q's weights and the expected risk:
+    ``(space, losses, q, report)``. A given ``memo`` serves sampling and
+    rescoring, and a recording one then ``mrt_grad``."""
+    space = sample_space(params, src, gold, k, max_len, rng, memo=memo)
+    losses = np.array([metrics.delta(kind, cand, gold, info) for cand in space.candidates])
+    q = q_distribution(space, alpha)
+    return space, losses, q, expected_risk(space, q, losses)
+
+
+def mrt_loss_and_grad(
+    params: ParamStore, batch: Sequence[tuple[Sequence[int], Sequence[int]]],
+    kind: metrics.LossKind, alpha: float, k: int, max_len: int,
+    rngs: Sequence[np.random.Generator], info=None,
+) -> tuple[float, np.ndarray]:
+    """Sampled expected risk of a batch of (source, EOS-terminated gold)
+    pairs and its gradient, summed over sentences in index order; sentence
+    i samples with ``rngs[i]`` on its own recording memo. Each sentence's
+    risk and gradient are added before the next one starts."""
+    if not batch:
+        raise MrtError("empty batch")
+    if len(rngs) != len(batch):
+        raise MrtError(f"{len(rngs)} generators for {len(batch)} sentences")
+    risk, grad = 0.0, np.zeros(params.size)
+    for (src, gold), rng in zip(batch, rngs):
+        memo = PrefixMemo(params, src, Tape())
+        space, _, q, report = sentence_risk(
+            params, src, gold, kind, alpha, k, max_len, rng, info, memo=memo
+        )
+        risk += report.expected_risk
+        grad += mrt_grad(params, src, space, q, report, alpha, memo=memo)
+    return risk, grad
 
 
 def mle_loss_and_grad(

@@ -18,7 +18,7 @@ from . import metrics
 from .diffcore import ParamStore, Tape, finite_diff_grad, relative_error
 from .model import BOS, EOS, BoundModel
 from .mrt import SampledSpace, candidate_logprobs, expected_risk, mrt_grad
-from .mrt import q_distribution, sample_space
+from .mrt import q_distribution, sentence_risk
 
 __all__ = [
     "OracleError",
@@ -167,24 +167,6 @@ def exact_grad_check(
     return relative_error(analytic, numeric)
 
 
-def sampled_risk(
-    params: ParamStore,
-    src: Sequence[int],
-    gold: Sequence[int],
-    kind: metrics.LossKind,
-    alpha: float,
-    k: int,
-    max_len: int,
-    rng: np.random.Generator,
-    info=None,
-) -> float:
-    """One sampled expected-risk estimate for a sentence."""
-    space = sample_space(params, src, gold, k, max_len, rng)
-    losses = space_losses(space.candidates, gold, kind, info)
-    q = q_distribution(space, alpha)
-    return expected_risk(space, q, losses).expected_risk
-
-
 def sampled_risk_spread(
     params: ParamStore,
     src: Sequence[int],
@@ -203,10 +185,10 @@ def sampled_risk_spread(
         raise OracleError(f"n_seeds must be >= 1, got {n_seeds}")
     estimates = np.array(
         [
-            sampled_risk(
+            sentence_risk(
                 params, src, gold, kind, alpha, k, max_len,
                 np.random.default_rng([base_seed, k, s]), info,
-            )
+            )[3].expected_risk
             for s in range(n_seeds)
         ]
     )

@@ -2,9 +2,11 @@
 
 Plain SGD with global-norm gradient clipping; validation decoding with
 beam 10 every eval_every updates; the checkpoint with the best validation
-corpus BLEU is retained. Minimum risk fine-tuning always starts from given
-parameters (``initial`` or ``init_checkpoint``); for a random start, save
-the parameters of a maximum likelihood run of 0 updates.
+corpus BLEU is retained. Each update steps with the batch mean of one
+``mrt`` objective, ``mle_loss_and_grad`` or ``mrt_loss_and_grad``.
+Minimum risk fine-tuning always starts from given parameters (``initial``
+or ``init_checkpoint``); for a random start, save the parameters of a
+maximum likelihood run of 0 updates.
 
 The global gradient norm is a numpy pairwise sum, not ``np.linalg.norm``.
 For a long 1-D array the latter is a BLAS dot product, which multi-threaded
@@ -24,9 +26,9 @@ import numpy as np
 from . import metrics, mrt
 from .data import Corpus
 from .decoder import DEFAULT_BEAM, decode_corpus
-from .diffcore import ParamStore, Tape
+from .diffcore import ParamStore
 from .metrics import LossKind
-from .model import ModelConfig, PrefixMemo, check_params, init_params
+from .model import ModelConfig, check_params, init_params
 
 __all__ = [
     "TrainError",
@@ -124,20 +126,6 @@ def _clip(grad: np.ndarray, max_norm: float) -> np.ndarray:
     return grad
 
 
-def _mrt_sentence_grad(params, pair, cfg, max_len, rng, info):
-    """Expected risk and its gradient for one sentence; each candidate's
-    loss is taken against the sentence's own target."""
-    memo = PrefixMemo(params, pair.src, Tape())  # one decoder walk per sentence
-    space = mrt.sample_space(params, pair.src, pair.tgt, cfg.k, max_len, rng, memo=memo)
-    losses = [
-        metrics.delta(cfg.loss_kind, cand, pair.tgt, info) for cand in space.candidates
-    ]
-    q = mrt.q_distribution(space, cfg.alpha)
-    report = mrt.expected_risk(space, q, losses)
-    grad = mrt.mrt_grad(params, pair.src, space, q, report, cfg.alpha, memo=memo)
-    return report.expected_risk, grad
-
-
 def train(
     cfg: TrainConfig,
     model_cfg: ModelConfig,
@@ -157,7 +145,9 @@ def train(
             initial = init_params(model_cfg, cfg.seed)
     params = initial.copy()
 
-    info = metrics.info_table_for(cfg.loss_kind, [p.tgt for p in train_corpus.pairs])
+    info = None  # the NIST loss's table; MLE needs none
+    if cfg.criterion == "mrt":
+        info = metrics.info_table_for(cfg.loss_kind, [p.tgt for p in train_corpus.pairs])
 
     curve: list[CurvePoint] = []
     best_params: ParamStore | None = None  # set at the first validation
@@ -178,22 +168,13 @@ def train(
 
         if cfg.criterion == "mle":
             loss, grad = mrt.mle_loss_and_grad(params, batch)
-            objective = loss / len(batch)
-            grad = grad / len(batch)
         else:
-            results = [
-                _mrt_sentence_grad(
-                    params,
-                    pair,
-                    cfg,
-                    model_cfg.max_len,
-                    np.random.default_rng([cfg.seed, update, s]),
-                    info,
-                )
-                for s, pair in enumerate(batch)
-            ]
-            objective = sum(r for r, _ in results) / len(results)
-            grad = sum((g for _, g in results), np.zeros(params.size)) / len(results)
+            rngs = [np.random.default_rng([cfg.seed, update, s]) for s in range(len(batch))]
+            loss, grad = mrt.mrt_loss_and_grad(
+                params, batch, cfg.loss_kind, cfg.alpha, cfg.k, model_cfg.max_len, rngs, info
+            )
+        objective = loss / len(batch)
+        grad /= len(batch)
 
         if not (np.isfinite(objective) and np.all(np.isfinite(grad))):
             raise TrainError(
@@ -202,6 +183,7 @@ def train(
             )
         grad = _clip(grad, cfg.grad_clip_norm)
         params.set_flat(params.flat() - cfg.lr * grad)
+        del grad  # not held while the next batch's gradient is computed
 
         if (
             valid_corpus is not None

@@ -1,8 +1,12 @@
+import functools
+import operator
+
 import numpy as np
 import pytest
 
+from riskseq import metrics, mrt
 from riskseq.diffcore import Tape
-from riskseq.model import BOS, BoundModel, ModelConfig, init_params
+from riskseq.model import BOS, BoundModel, ModelConfig, PrefixMemo, init_params
 from riskseq.model import _checked_target, _validate_target
 
 
@@ -85,3 +89,21 @@ def reference_mle_loss_and_grad(params, batch):
         loss += float(nll.value)
         grad += tape.gradient(nll, params, bound.pn)
     return loss, grad
+
+
+def reference_mrt_loss_and_grad(params, batch, kind, alpha, k, max_len, rngs, info=None):
+    """``mrt.mrt_loss_and_grad`` as the trainer once built it: every
+    sentence's risk and gradient kept, then each summed."""
+    results = []
+    for (src, gold), rng in zip(batch, rngs):
+        memo = PrefixMemo(params, src, Tape())
+        space = mrt.sample_space(params, src, gold, k, max_len, rng, memo=memo)
+        losses = [metrics.delta(kind, cand, gold, info) for cand in space.candidates]
+        q = mrt.q_distribution(space, alpha)
+        report = mrt.expected_risk(space, q, losses)
+        grad = mrt.mrt_grad(params, src, space, q, report, alpha, memo=memo)
+        results.append((report.expected_risk, grad))
+    # sum() over floats, left to right as before Python 3.12 compensated it
+    risk = functools.reduce(operator.add, (r for r, _ in results), 0)
+    grad = sum((g for _, g in results), np.zeros(params.size))
+    return risk, grad

@@ -53,3 +53,34 @@ def test_cli_decodes_with_the_decoder_beam_search():
     import riskseq.decoder
 
     assert riskseq.cli.beam_decode is riskseq.decoder.beam_decode
+
+
+TRAINING_SPANS = {
+    "trainer.train", "mrt.sample_space", "mrt.sample_trajectories",
+    "mrt.build_space", "mrt.q_distribution", "mrt.expected_risk", "mrt.mrt_grad",
+    "metrics.delta", "mrt.mle_loss_and_grad", "diffcore.gradient",
+}
+
+
+def test_benchmark_spans_fire_in_training():
+    """A call routed around a traced name records no span, which the check
+    above cannot see: train one MRT and one MLE update under the tracer."""
+    import riskseq.cli  # noqa: F401  (every module loaded before tracing)
+    import riskseq.trainer
+    from conftest import noisy_params, toy_config
+    from riskseq.data import Corpus, SentencePair
+    from riskseq.model import EOS
+
+    cfg = toy_config()
+    pairs = [SentencePair([4, 5, 4], [5, 4, 5, EOS]), SentencePair([5, 5], [4, 5, EOS])]
+    corpus = Corpus(name="toy", pairs=pairs,
+                    references=[[tuple(p.tgt[:-1])] for p in pairs])
+    start = noisy_params(cfg, seed=0)
+    tracer = _load_spans().Tracer()
+    with tracer.installed():
+        for criterion in ("mrt", "mle"):
+            tc = riskseq.trainer.TrainConfig(criterion=criterion, batch_size=2,
+                                             max_updates=1, eval_every=0, k=5)
+            riskseq.trainer.train(tc, cfg, corpus, None, start)
+    missing = TRAINING_SPANS - set(tracer.names)
+    assert not missing, f"spans that never fired: {sorted(missing)}"

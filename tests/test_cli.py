@@ -175,10 +175,12 @@ class TestBadRunSettings:
     @pytest.mark.parametrize(
         "flags, message",
         [(["--ks", "5", "0"], "--ks must all be >= 1, got 0"),
-         (["--alpha", "0"], "alpha must be positive, got 0.0"),
+         (["--alpha", "0"], "alpha must be positive and finite, got 0.0"),
+         (["--alpha", "nan"], "alpha must be positive and finite, got nan"),
+         (["--alpha", "inf"], "alpha must be positive and finite, got inf"),
          (["--max-len", "2", "--ks", "5", "--n-seeds", "2"],
           "--max-len must be >= 3 (2 gold tokens + EOS), got 2")],
-        ids=["ks", "alpha", "max-len"],
+        ids=["ks", "alpha", "alpha-nan", "alpha-inf", "max-len"],
     )
     def test_oracle_flag_rejected_before_output(self, workdir, capsys, flags,
                                                 message):
@@ -653,6 +655,17 @@ class TestSampleAndOracle:
         )
         _one_line_data_error(code, out, err)
         assert err == "error: emptied.txt: line 2 is empty\n"
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "0"])
+    def test_sample_alpha_must_be_positive_and_finite(self, trained, capsys, alpha):
+        code, out, err = run(
+            capsys, "sample", "--checkpoint", "model.ckpt",
+            "--src-vocab", "task/vocab.txt", "--tgt-vocab", "task/vocab.txt",
+            "--input", "task/valid.src", "--gold", "task/valid.tgt",
+            "--k", "5", "--alpha", alpha, "--quiet",
+        )
+        _one_line_data_error(code, out, err)
+        assert err == f"error: alpha must be positive and finite, got {float(alpha)}\n"
 
     def test_oracle_csv_sections(self, workdir, capsys):
         code, out, _ = run(

@@ -115,13 +115,17 @@ class TestBackward:
         expected[1] = 0.75
         np.testing.assert_allclose(grad, expected, atol=1e-12)
 
-    def test_backward_requires_scalar_seed(self):
-        store = make_store(x=np.ones(3))
+    def test_gradient_rejects_2d_seed_and_non_recording_tape(self):
+        # a scalar seed or one loss per row (B,); nothing of higher rank
+        store = make_store(x=np.ones((2, 3)))
         tape = Tape()
         pn = tape.params(store)
-        y = tape.tanh(pn["x"])
-        with pytest.raises(DiffError):
-            tape.backward(y)
+        with pytest.raises(DiffError, match="one loss per row"):
+            tape.gradient(tape.tanh(pn["x"]), store, pn)
+        off = Tape(record=False)
+        pn = off.params(store)
+        with pytest.raises(DiffError, match="gradient on a non-recording tape"):
+            off.gradient(off.sum(off.tanh(pn["x"])), store, pn)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_composite_graph_matches_finite_differences(self, seed):

@@ -10,6 +10,7 @@ from conftest import (
     reference_logprob_nodes,
     reference_mle_loss_and_grad,
     reference_mrt_grad,
+    reference_mrt_loss_and_grad,
     toy_config,
 )
 from riskseq.diffcore import DiffError, Tape, finite_diff_grad, relative_error
@@ -24,9 +25,11 @@ from riskseq.mrt import (
     expected_risk,
     mle_loss_and_grad,
     mrt_grad,
+    mrt_loss_and_grad,
     q_distribution,
     sample_space,
     sample_trajectories,
+    sentence_risk,
 )
 
 SRC = [4, 5]
@@ -266,8 +269,9 @@ class TestQDistribution:
         assert q[1] > q[2] > q[0]
 
     def test_alpha_must_be_positive(self):
-        with pytest.raises(MrtError):
-            q_distribution(self._space([-1.0]), alpha=0.0)
+        for alpha in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(MrtError, match="positive and finite"):
+                q_distribution(self._space([-1.0]), alpha=alpha)
 
     @given(lp=logprob_arrays(), alpha=st.floats(1e-4, 3.0))
     @settings(max_examples=300, deadline=None)
@@ -361,6 +365,29 @@ class TestMrtGrad:
 
         numeric = finite_diff_grad(objective, params)
         assert relative_error(analytic, numeric) <= 1e-4
+
+
+class TestMrtLossAndGrad:
+    def test_sentence_risk_is_the_expected_loss_under_q(self, toy_model):
+        _, params = toy_model
+        space, losses, q, report = sentence_risk(
+            params, SRC, GOLD, LossKind.SMOOTHED_TER, 0.5, 8, 5, np.random.default_rng(3)
+        )
+        assert losses.tolist() == [
+            delta(LossKind.SMOOTHED_TER, c, GOLD) for c in space.candidates
+        ]
+        assert q.tobytes() == q_distribution(space, 0.5).tobytes()
+        assert report.expected_risk == expected_risk(space, q, losses).expected_risk
+
+    def test_empty_batch_or_missing_generator_rejected(self, toy_model):
+        _, params = toy_model
+        args = (LossKind.SMOOTHED_TER, 0.5, 4, 5)
+        with pytest.raises(MrtError, match="empty batch"):
+            mrt_loss_and_grad(params, [], *args, [])
+        with pytest.raises(MrtError, match="1 generators for 2 sentences"):
+            mrt_loss_and_grad(
+                params, [(SRC, GOLD)] * 2, *args, [np.random.default_rng(0)]
+            )
 
 
 class TestMleLossAndGrad:
@@ -461,6 +488,37 @@ class TestOneDecoderWalk:
         expected = reference_mrt_grad(params, src, space, q, report, alpha).tobytes()
         for _ in range(2):
             assert mrt_grad(params, src, space, q, report, alpha, memo=memo).tobytes() == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        k=st.integers(1, 20),
+        kind=st.sampled_from(list(LossKind)),
+        alpha=st.sampled_from([5e-3, 0.3, 1.0]),
+    )
+    def test_mrt_loss_and_grad_byte_equal_to_reference(self, data, k, kind, alpha):
+        """The batch objective adds each sentence's risk and gradient as it
+        goes; the sums equal keeping them all and summing at the end."""
+        params, vocab, seed = random_model(data.draw)
+        batch = [
+            (
+                data.draw(st.lists(st.integers(4, 5), min_size=1, max_size=4)),
+                tuple(data.draw(st.lists(st.integers(4, vocab - 1), min_size=1, max_size=3)))
+                + (EOS,),
+            )
+            for _ in range(data.draw(st.integers(1, 5)))
+        ]
+        info = build_info_table([gold for _, gold in batch]) if kind is LossKind.NEG_SMOOTHED_NIST else None
+
+        def rngs():
+            return [np.random.default_rng([seed, i]) for i in range(len(batch))]
+
+        risk, grad = mrt_loss_and_grad(params, batch, kind, alpha, k, 5, rngs(), info)
+        ref_risk, ref_grad = reference_mrt_loss_and_grad(
+            params, batch, kind, alpha, k, 5, rngs(), info
+        )
+        assert np.float64(risk).tobytes() == np.float64(ref_risk).tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
 
     def test_first_target_emits_no_copies(self, toy_model):
         _, params = toy_model

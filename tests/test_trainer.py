@@ -1,13 +1,14 @@
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import noisy_params, toy_config
-from riskseq import mrt
+from riskseq import mrt, trainer
 from riskseq.data import Corpus, SentencePair
 from riskseq.metrics import LossKind
 from riskseq.model import EOS, BoundModel, init_params
@@ -19,7 +20,7 @@ from riskseq.trainer import (
     curve_to_csv,
     train,
 )
-from riskseq.trainer import _clip, _mrt_sentence_grad
+from riskseq.trainer import _clip
 
 
 def tiny_corpus(n=12, seed=0):
@@ -225,13 +226,43 @@ class TestTrainMrt:
         monkeypatch.setattr(BoundModel, "step_logits", counting_step)
         monkeypatch.setattr(mrt, "sample_space", kept_space)
         pair = SentencePair(src=[4, 5, 4], tgt=[5, 4, 5, EOS])
-        train_cfg = TrainConfig(criterion="mrt", k=30, alpha=0.5)
         rng = np.random.default_rng([0, 1, 0])
-        _, grad = _mrt_sentence_grad(params, pair, train_cfg, cfg.max_len, rng, None)
+        _, grad = mrt.mrt_loss_and_grad(
+            params, [pair], LossKind.NEG_SMOOTHED_BLEU, 0.5, 30, cfg.max_len, [rng]
+        )
         (space,) = spaces
         prefixes = {c[:n] for c in space.candidates for n in range(len(c))}
         assert len(space) > 2 and grad.any()
         assert calls == {"encode": 1, "step": len(prefixes)}
+
+
+class TestGradientLifetime:
+    @pytest.mark.parametrize("criterion", ["mle", "mrt"])
+    def test_stepped_gradient_released_before_the_next_batch(self, monkeypatch,
+                                                              criterion):
+        # An update's clipped gradient is dropped once the parameters are
+        # stepped, so it is not held while the next batch's gradient is
+        # computed.
+        name = f"{criterion}_loss_and_grad"
+        clip, objective = trainer._clip, getattr(mrt, name)
+        clipped, live = [], []
+
+        def kept_clip(grad, max_norm):
+            out = clip(grad, max_norm)
+            clipped.append(weakref.ref(out))
+            return out
+
+        def counting_objective(*args, **kwargs):
+            live.append(sum(ref() is not None for ref in clipped))
+            return objective(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "_clip", kept_clip)
+        monkeypatch.setattr(mrt, name, counting_objective)
+        cfg = toy_config()
+        tc = TrainConfig(criterion=criterion, batch_size=3, max_updates=4,
+                         eval_every=0, k=5)
+        train(tc, cfg, tiny_corpus(n=6), None, noisy_params(cfg, seed=5))
+        assert live == [0, 0, 0, 0]
 
 
 # Trains the acceptance recipe's MLE config for 60 updates, then 3 MRT
