@@ -18,7 +18,7 @@ import numpy as np
 
 from . import data, metrics, mrt, oracle, trainer
 from .data import Corpus, DataError, Vocab
-from .decoder import DEFAULT_BEAM, beam_decode
+from .decoder import DEFAULT_BEAM, decode_corpus
 from .diffcore import DiffError, ParamStore
 from .metrics import LossKind, MetricError
 from .model import EOS, ModelConfig, ModelError, check_params, init_params
@@ -215,10 +215,14 @@ def cmd_decode(args) -> int:
         raise DataError(f"beam width must be >= 1, got {args.beam}")
     if max_len < 1:
         raise DataError(f"length limit must be >= 1, got {max_len}")
-    lines = []
-    for words in data.read_token_lines(args.input, model_input=True):
-        out = beam_decode(params, src_vocab.encode(words), args.beam, max_len)
-        lines.append(" ".join(tgt_vocab.decode([t for t in out if t != EOS])))
+    sources = [
+        src_vocab.encode(words)
+        for words in data.read_token_lines(args.input, model_input=True)
+    ]
+    lines = [
+        " ".join(tgt_vocab.decode([t for t in out if t != EOS]))
+        for out in decode_corpus(params, sources, args.beam, max_len)
+    ]
     _write_lines(args.output, lines)
     return 0
 

@@ -8,12 +8,13 @@ decoder state, attention context] followed by a linear output projection.
 All weight matrices are stored (in_dim, out_dim) and applied as x @ W so
 the tape only ever needs vector-matrix products. Encoding and decoder steps
 also take a batch of rows: B sources of one length, B token ids and (B, H)
-states. Beam search steps its live hypotheses so, without recording, and
-MLE steps sentences of one shape so on a recording tape. Every product,
-forward and VJP, goes through ``_vm``, whose stacked form makes one gemv
-call per row, the call a single row makes, and parameter contributions keep
-a leading row axis. So every row keeps the bits of stepping it alone, its
-gradient included.
+states. Beam search steps every live hypothesis of a group of same-length
+sources so, without recording, each row attending over its own sentence's
+annotations (``Annotations.rows``); MLE steps sentences of one shape so on
+a recording tape. Every product, forward and VJP, goes through ``_vm``,
+whose stacked form makes one gemv call per row, the call a single row
+makes, and parameter contributions keep a leading row axis. So every row
+keeps the bits of stepping it alone, its gradient included.
 
 A GRU step, the attention, the readout and the initial state are each one
 fused tape node (see ``diffcore``). Their forwards run the numpy calls of
@@ -189,6 +190,17 @@ class Annotations:
     attn_proj: Node      # (M, A)
     bwd_first: Node      # (H,) backward state at position 0, seeds the decoder
 
+    def rows(self, owner: np.ndarray) -> "Annotations":
+        """Row i holds the annotations of sentence ``owner[i]`` of the
+        encoded batch (a lone sentence is sentence 0), for a row step whose
+        rows come from several sentences. The rows are constants."""
+        lone = self.bwd_first.value.ndim == 1
+        matrix, proj, first = (
+            Node((a.value[None] if lone else a.value)[owner])
+            for a in (self.matrix, self.attn_proj, self.bwd_first)
+        )
+        return Annotations(matrix=matrix, attn_proj=proj, bwd_first=first)
+
 
 class BoundModel:
     """Model parameters bound to one tape. All candidate evaluations sharing
@@ -248,14 +260,7 @@ class BoundModel:
         is (B, S, 2H)."""
         t, p = self.tape, self.pn
         ids = np.asarray(src)
-        toks = ids.ravel().tolist()  # a Python loop checks a few ids fastest
-        if not toks:
-            raise ModelError("empty source sentence")
-        for tok in toks:
-            if not 0 <= tok < self.src_vocab_size:
-                raise ModelError(f"source token id {tok} out of range")
-        if PAD in toks:
-            raise ModelError("PAD inside source sentence")
+        _check_source(ids, self.src_vocab_size)
         hidden = self.store["dec_init_b"].shape[0]
         embeds = [t.lookup(p["src_embed"], tok) for tok in ids]
 
@@ -429,6 +434,28 @@ class PrefixMemo:
                     copies[node] = node = tape.emit(node.value, parents, node.vjp)
             picks.append(tape.pick(node, tok))
         return tape.sum(tape.stack_rows(picks))
+
+
+def _check_source(src: Sequence[int] | np.ndarray, vocab_size: int) -> None:
+    """Raise ModelError unless ``src`` (one source's ids, or a (S, B) array
+    of B sources') is non-empty, in range and free of PAD."""
+    toks = np.asarray(src).ravel().tolist()  # a Python loop checks a few ids fastest
+    if not toks:
+        raise ModelError("empty source sentence")
+    for tok in toks:
+        if not 0 <= tok < vocab_size:
+            raise ModelError(f"source token id {tok} out of range")
+    if PAD in toks:
+        raise ModelError("PAD inside source sentence")
+
+
+def _by_position(seqs: Sequence[Sequence[int]]) -> np.ndarray:
+    """Token ids of equal-length sequences position by position: a lone
+    sequence's ids, or for B sequences a (L, B) array, one row per
+    position, so one sequence steps with 1-D operands."""
+    if len(seqs) == 1:
+        return np.asarray(seqs[0])
+    return np.array(seqs).T
 
 
 def _validate_target(tgt: Sequence[int], vocab_size: int) -> None:

@@ -26,7 +26,9 @@ import numpy as np
 
 from . import metrics
 from .diffcore import ParamStore, Tape, log_softmax
-from .model import BOS, EOS, BoundModel, PrefixMemo, _checked_target, _validate_target
+from .model import (
+    BOS, EOS, BoundModel, PrefixMemo, _by_position, _checked_target, _validate_target,
+)
 
 __all__ = [
     "MrtError",
@@ -343,12 +345,3 @@ def _rows_nll_and_adjoints(
     return seed.value.reshape(B), [
         adjoints[name].reshape((B,) + arr.shape) for name, arr in params.items()
     ]
-
-
-def _by_position(seqs: Sequence[Sequence[int]]) -> np.ndarray:
-    """Token ids of equal-length sequences position by position: a lone
-    sequence's ids, or for B sequences a (L, B) array, one row per
-    position, so one sequence steps with 1-D operands."""
-    if len(seqs) == 1:
-        return np.asarray(seqs[0])
-    return np.array(seqs).T

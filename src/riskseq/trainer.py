@@ -135,6 +135,9 @@ def train(
 ) -> TrainResult:
     if not train_corpus.pairs:
         raise TrainError("empty training corpus")
+    if valid_corpus is not None and not valid_corpus.pairs:
+        # corpus BLEU of nothing is 0.0: every validation would tie at 0.0
+        raise TrainError("empty validation corpus")
     if initial is None:
         if cfg.init_checkpoint is not None:
             initial = ParamStore.load(cfg.init_checkpoint)

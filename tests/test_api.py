@@ -52,7 +52,7 @@ def test_cli_decodes_with_the_decoder_beam_search():
     import riskseq.cli
     import riskseq.decoder
 
-    assert riskseq.cli.beam_decode is riskseq.decoder.beam_decode
+    assert riskseq.cli.decode_corpus is riskseq.decoder.decode_corpus
 
 
 TRAINING_SPANS = {

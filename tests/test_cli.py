@@ -7,7 +7,9 @@ import pytest
 from riskseq import trainer
 from riskseq.cli import _load_train_inputs, build_parser, main
 from riskseq.data import Vocab, read_token_lines
+from riskseq.decoder import beam_decode
 from riskseq.diffcore import ParamStore
+from riskseq.model import EOS, load_model
 
 
 def run(capsys, *argv):
@@ -300,6 +302,29 @@ class TestTrainDecodeEvaluate:
         )
         assert code == 0
         assert (workdir / "hyp.txt").read_text(encoding="utf-8").count("\n") == 2
+
+    def test_decode_mixed_lengths_writes_lines_in_input_order(
+        self, trained, workdir, capsys
+    ):
+        """Sources decode in groups of one length; the output lines keep
+        the input's order, each the line's translation decoded alone."""
+        lines = read_token_lines("task/valid.src")
+        lines = sorted(lines, key=len)[::-1] + lines
+        assert len({len(words) for words in lines}) > 1
+        (workdir / "in.src").write_text("\n".join(map(" ".join, lines)) + "\n")
+        code, _, _ = run(
+            capsys, "decode", "--checkpoint", "model.ckpt", "--input", "in.src",
+            "--output", "hyp.txt", "--beam", "3", "--src-vocab", "task/vocab.txt",
+            "--tgt-vocab", "task/vocab.txt", "--quiet",
+        )
+        assert code == 0
+        vocab = Vocab.load("task/vocab.txt")
+        params, _ = load_model("model.ckpt")
+        want = [
+            " ".join(vocab.decode([t for t in out if t != EOS]))
+            for out in (beam_decode(params, vocab.encode(w), 3, 6) for w in lines)
+        ]
+        assert (workdir / "hyp.txt").read_text().splitlines() == want
 
     def test_decode_empty_line_rejected_before_output(self, trained, workdir, capsys):
         first, third = read_token_lines("task/valid.src")[:2]

@@ -1,12 +1,19 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import noisy_params, toy_config
-from riskseq.decoder import beam_decode, decode_corpus, greedy_decode
+from riskseq.decoder import GROUP, beam_decode, decode_corpus, greedy_decode
 from riskseq.diffcore import Tape
-from riskseq.model import BOS, EOS, PAD, BoundModel, PrefixMemo, sequence_logprob
+from riskseq.model import (
+    BOS, EOS, PAD, BoundModel, ModelError, PrefixMemo, sequence_logprob,
+)
 
 
 def models(n, tgt_vocab=8):
@@ -16,8 +23,8 @@ def models(n, tgt_vocab=8):
 
 # Unbatched references: every live hypothesis carries its own decoder state
 # and steps it alone, one ``step_logits`` call per hypothesis, where
-# ``beam_decode`` steps all live rows in one call and selects from the
-# flattened scores.
+# the search steps the live rows of a group of sources in one call and
+# selects from each sentence's flattened scores.
 
 
 def _reference_logdist(tape, bound, prev, state, ann):
@@ -240,6 +247,8 @@ class TestBeam:
         _, params_list = models(1)
         with pytest.raises(ValueError):
             beam_decode(params_list[0], [4], 0, 6)
+        with pytest.raises(ValueError, match="beam width"):
+            decode_corpus(params_list[0], [], 0, 5)
 
     def test_length_limit_below_one_rejected(self):
         _, params_list = models(1)
@@ -247,6 +256,8 @@ class TestBeam:
             beam_decode(params_list[0], [4], 2, 0)
         with pytest.raises(ValueError, match="length limit"):
             greedy_decode(params_list[0], [4], 0)
+        with pytest.raises(ValueError, match="length limit"):
+            decode_corpus(params_list[0], [], 2, 0)
 
     def test_deterministic(self):
         _, params_list = models(1)
@@ -272,3 +283,127 @@ class TestDecodeCorpus:
         assert decode_corpus(params, sources, 1, cfg.max_len) == [
             reference_greedy(params, s, cfg.max_len) for s in sources
         ]
+
+    @given(
+        seed=st.integers(0, 10**6),
+        sources=st.lists(
+            st.lists(st.integers(4, 5), min_size=1, max_size=3), min_size=1, max_size=30
+        ),
+        copies=st.integers(0, GROUP + 4),
+        width=st.integers(1, 12),
+        max_len=st.integers(1, 6),
+        length_normalize=st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_grouped_outputs_equal_reference(
+        self, seed, sources, copies, width, max_len, length_normalize
+    ):
+        """Two source tokens make repeats common; ``copies`` more of the
+        first source can put more than GROUP sources in one length."""
+        cfg = toy_config(tgt_vocab=7, src_vocab_size=8, max_len=max_len)
+        params = noisy_params(cfg, seed=seed, scale=1.5)
+        sources = sources + [sources[0]] * copies
+        want = {
+            tuple(src): reference_beam(params, src, width, max_len, length_normalize)
+            for src in sources
+        }
+        got = decode_corpus(params, sources, width, max_len, length_normalize)
+        assert got == [want[tuple(src)] for src in sources]
+
+    def test_one_encode_per_group_and_one_step_per_iteration(self, monkeypatch):
+        """Sources of one length share an encode, at most GROUP of them.
+        Each iteration steps every live row of the group in one call: as
+        many rows as the group's sentences have live hypotheses, at that
+        iteration, when each is decoded alone."""
+        _, (params,) = models(1)
+        long = [[4 + i % 4, 5 + i % 3, 6] for i in range(GROUP + 3)]
+        sources = long[:5] + [[7, 4]] + long[5:] + [[5, 5]]
+        calls = []
+        encode, step = BoundModel.encode, BoundModel.step_logits
+
+        def spy_encode(self, src):
+            calls.append(("encode", np.shape(src)))
+            return encode(self, src)
+
+        def spy_step(self, prev, z, ann):
+            calls.append(("step", len(prev), ann.matrix.shape[:2]))
+            return step(self, prev, z, ann)
+
+        monkeypatch.setattr(BoundModel, "encode", spy_encode)
+        monkeypatch.setattr(BoundModel, "step_logits", spy_step)
+        width, max_len = 3, 6
+
+        def rows_alone(src):
+            calls.clear()
+            beam_decode(params, src, width, max_len)
+            return [call[1] for call in calls[1:]]
+
+        alone = [rows_alone(src) for src in sources]
+        calls.clear()
+        decode_corpus(params, sources, width, max_len)
+        starts = [i for i, call in enumerate(calls) if call[0] == "encode"]
+        groups = [
+            [i for i, src in enumerate(sources) if len(src) == 3][:GROUP],
+            [i for i, src in enumerate(sources) if len(src) == 3][GROUP:],
+            [5, len(sources) - 1],
+        ]
+        assert len(starts) == len(groups)
+        for group, start, end in zip(groups, starts, starts[1:] + [len(calls)]):
+            S = len(sources[group[0]])
+            assert calls[start][1] == (S, len(group))
+            steps = calls[start + 1 : end]
+            assert len(steps) == max(len(alone[i]) for i in group)
+            for depth, (_, rows, matrix) in enumerate(steps):
+                want = sum(alone[i][depth] for i in group if depth < len(alone[i]))
+                assert rows == want and matrix == (want, S)
+
+    @pytest.mark.parametrize(
+        "sources, message",
+        [
+            ([[4, 5], [99], [4, 50]], "source token id 99 out of range"),
+            ([[4, 5, 6], [5, 0], []], "PAD inside source sentence"),
+            ([[4], [], [4, 0]], "empty source sentence"),
+        ],
+    )
+    def test_sources_checked_in_input_order_before_any_decode(
+        self, monkeypatch, sources, message
+    ):
+        _, (params,) = models(1)
+
+        def no_encode(*args):
+            raise AssertionError("a source was encoded before all were checked")
+
+        monkeypatch.setattr(BoundModel, "encode", no_encode)
+        with pytest.raises(ModelError, match=message):
+            decode_corpus(params, sources, 2, 6)
+
+
+_GROUPED_SCRIPT = """
+from conftest import noisy_params, toy_config
+from riskseq.decoder import decode_corpus
+
+cfg = toy_config(tgt_vocab=12, src_vocab_size=12, embed_dim=16, hidden_dim=64,
+                 attention_dim=32, max_len=8)
+params = noisy_params(cfg, seed=3, scale=0.8)
+sources = [[4 + (i * 7 + j) % 8 for j in range(1 + i % 5)] for i in range(60)]
+grouped = decode_corpus(params, sources, 5, 8)
+alone = [decode_corpus(params, [src], 5, 8)[0] for src in sources]
+print(grouped == alone, len(grouped))
+"""
+
+
+def test_grouped_equals_per_source_with_two_blas_threads():
+    # On a 1-CPU machine OpenBLAS caps itself at one thread, so this
+    # passes there without discriminating.
+    tests_dir = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(tests_dir.parent / "src"), str(tests_dir),
+                    os.environ.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _GROUPED_SCRIPT], env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "60"]

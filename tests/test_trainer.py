@@ -155,6 +155,14 @@ class TestTrainMle:
         with pytest.raises(TrainError):
             train(tc, cfg, Corpus(name="empty", pairs=[]), None)
 
+    def test_empty_validation_corpus_rejected(self):
+        """Corpus BLEU of no sentences is 0.0, so every validation would
+        score 0.0 and the first evaluated parameters would be kept."""
+        cfg = toy_config()
+        tc = TrainConfig(criterion="mle", max_updates=2, eval_every=1)
+        with pytest.raises(TrainError, match="empty validation corpus"):
+            train(tc, cfg, tiny_corpus(), Corpus(name="valid", pairs=[]))
+
 
 class TestTrainMrt:
     def test_requires_initial_checkpoint(self):
