@@ -19,7 +19,7 @@ import numpy as np
 from . import data, metrics, mrt, oracle, trainer
 from .data import Corpus, DataError, Vocab
 from .decoder import DEFAULT_BEAM, decode_corpus
-from .diffcore import DiffError, ParamStore
+from .diffcore import DiffError, ParamStore, atomic_writer
 from .metrics import LossKind, MetricError
 from .model import EOS, ModelConfig, ModelError, check_params, init_params
 from .model import check_vocabs, load_model, save_model
@@ -160,10 +160,11 @@ def _load_train_inputs(args, run_cfg: dict):
             model_cfg.max_len, name="valid",
             ref_files=_find_references(args.valid_ref) if args.valid_ref else (),
         )
-        if not valid_corpus:
+    for split, corpus in (("training", train_corpus), ("validation", valid_corpus)):
+        if corpus is not None and not corpus:
             raise DataError(
-                f"no validation pair fits max_len={model_cfg.max_len} "
-                f"({valid_corpus.filtered_count} over length)"
+                f"no {split} pair fits max_len={model_cfg.max_len} "
+                f"({corpus.filtered_count} over length)"
             )
     return src_vocab, tgt_vocab, model_cfg, train_corpus, valid_corpus
 
@@ -179,6 +180,11 @@ def _train_config(args, run_cfg: dict, inputs) -> TrainConfig:
 
 
 def cmd_train(args) -> int:
+    # an output that cannot be written fails before training, not after
+    outputs = {"--checkpoint-out": args.checkpoint_out, "--curve-out": args.curve_out}
+    for flag, path in outputs.items():
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise DataError(f"{flag} {path}: no such directory")
     run_cfg = load_run_config(args.config) if args.config else {}
     inputs = _load_train_inputs(args, run_cfg)
     src_vocab, tgt_vocab, model_cfg, train_corpus, valid_corpus = inputs
@@ -192,8 +198,8 @@ def cmd_train(args) -> int:
         (src_vocab.tokens, tgt_vocab.tokens),
     )
     if args.curve_out:
-        with open(args.curve_out, "w", encoding="utf-8") as fh:
-            fh.write(trainer.curve_to_csv(result.curve))
+        with atomic_writer(args.curve_out) as fh:
+            fh.write(trainer.curve_to_csv(result.curve).encode("utf-8"))
     if result.best_bleu is not None:
         log.info("best validation BLEU = %.2f", result.best_bleu)
     return 0

@@ -12,9 +12,12 @@ gradient.
 Sampling, rescoring and the risk gradient step the decoder through one
 per-source ``model.PrefixMemo``, so a state shared by several trajectories
 or candidates is computed once; spaces and gradients are bit-identical to
-stepping the model afresh for every trajectory and candidate. MLE steps
-the sentences of one shape as one row batch on one recording tape, with
-each row's loss and gradient bit-identical to walking it alone.
+stepping the model afresh for every trajectory and candidate. MLE groups
+the whole batch by shape and steps each shape's sentences as one row batch
+on one recording tape, with each row's loss and gradient bit-identical to
+walking it alone. Each pair's gradient is held until every group is done,
+so at batch 80 MLE's traced peak is 19.4 MB for the recipe model and
+73.0 MB for the default ``ModelConfig`` (E=32, H=64, A=32, V=20).
 """
 
 from __future__ import annotations
@@ -45,10 +48,6 @@ __all__ = [
     "DEFAULT_ALPHA",
     "DEFAULT_K",
 ]
-
-# Pairs per MLE chunk: a chunk holds one gradient per pair until it is done
-# (8 of the recipe model's come to 1.8 MB).
-MLE_CHUNK = 8
 
 # Sharpness of the Q-distribution and sample-attempt count defaults.
 DEFAULT_ALPHA = 5e-3
@@ -283,46 +282,34 @@ def mle_loss_and_grad(
     pairs, such as ``data.SentencePair``, and its gradient, summed over
     sentences in index order.
 
-    The batch runs in chunks of ``MLE_CHUNK`` pairs. Within a chunk, the
-    pairs of one (source length, target length) run as one row batch on one
-    tape, one group at a time. No row is padded, so each row's loss and
-    gradient keep the bits of walking its sentence alone. Once a chunk is
-    done, its rows are added in index order to sums that start from zero;
-    until then it holds one gradient per pair."""
+    The pairs of one (source length, target length), across the whole
+    batch, run as one row batch on one tape, one shape at a time. No row is
+    padded, so each row's loss and gradient keep the bits of walking its
+    sentence alone. Once every shape is done, the rows are added in index
+    order to sums that start from zero. Until then each pair's gradient is
+    held, so memory grows with batch size times parameter count: at batch
+    80 the traced peak is 19.4 MB for the recipe model and 73.0 MB for the
+    default ``ModelConfig``."""
     if not batch:
         raise MrtError("empty batch")
     vocab = params["out_b"].shape[0]
     for _, tgt in batch:
         _validate_target(_checked_target(tgt), vocab)
-    loss, grad = 0.0, np.zeros(params.size)
-    sums = list(params.views(grad).values())
-    for start in range(0, len(batch), MLE_CHUNK):
-        loss = _add_chunk(params, batch[start : start + MLE_CHUNK], loss, sums)
-    return loss, grad
-
-
-def _add_chunk(
-    params: ParamStore,
-    pairs: Sequence[tuple[Sequence[int], Sequence[int]]],
-    loss: float,
-    sums: list[np.ndarray],
-) -> float:
-    """``loss`` plus the pairs' losses, with their gradients added into
-    ``sums`` (one array per parameter), pair by pair in order. The pairs of
-    one shape are one row batch."""
     groups: dict[tuple[int, int], list[int]] = {}
-    for i, (src, tgt) in enumerate(pairs):
+    for i, (src, tgt) in enumerate(batch):
         groups.setdefault((len(src), len(tgt)), []).append(i)
     done: dict[int, tuple[float, list[np.ndarray]]] = {}
     for rows in groups.values():
-        nll, adjoints = _rows_nll_and_adjoints(params, [pairs[i] for i in rows])
+        nll, adjoints = _rows_nll_and_adjoints(params, [batch[i] for i in rows])
         done.update((i, (nll[b], [g[b] for g in adjoints])) for b, i in enumerate(rows))
-    for i in range(len(pairs)):
+    loss, grad = 0.0, np.zeros(params.size)
+    sums = list(params.views(grad).values())
+    for i in range(len(batch)):
         nll, row = done.pop(i)
         loss += float(nll)
         for acc, g in zip(sums, row):
             acc += g
-    return loss
+    return loss, grad
 
 
 def _rows_nll_and_adjoints(

@@ -253,6 +253,27 @@ class TestTrainDecodeEvaluate:
         assert lines[0] == "update,seconds,valid_bleu,train_objective"
         assert len(lines) == 3  # evals at update 3 and 6
 
+    @pytest.mark.parametrize("flag", ["--checkpoint-out", "--curve-out"])
+    def test_output_in_missing_directory_fails_before_training(
+        self, task_dir, workdir, capsys, monkeypatch, flag
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before checking the outputs")
+
+        monkeypatch.setattr(trainer, "train", no_training)
+        outputs = {"--checkpoint-out": "model.ckpt", "--curve-out": "curve.csv",
+                   flag: "missing/out"}
+        code, out, err = run(
+            capsys, "train", "--quiet",
+            "--train-src", "task/train.src", "--train-tgt", "task/train.tgt",
+            "--src-vocab", "task/vocab.txt", "--tgt-vocab", "task/vocab.txt",
+            "--max-updates", "2", *[arg for item in outputs.items() for arg in item],
+        )
+        assert code == 2
+        assert err == f"error: {flag} missing/out: no such directory\n"
+        assert not out
+        assert sorted(os.listdir(workdir)) == ["task"]
+
     def test_config_header_on_stderr(self, task_dir, capsys):
         code = main([
             "train", "--quiet",
@@ -798,6 +819,31 @@ class TestValidationReferences:
         )
         assert code == 2
         assert "no validation pair fits max_len=5" in err
+        assert not out
+
+    @pytest.mark.parametrize(
+        "command, rows",
+        [("train", ["--checkpoint-out", "m.ckpt"]),
+         ("alpha-sweep", ["--alphas", "1.0"]),
+         ("k-sweep", ["--ks", "2", "--init-checkpoint", "m.ckpt"])],
+    )
+    def test_training_set_emptied_by_max_len_is_data_error(
+        self, lex_dir, capsys, monkeypatch, command, rows
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained on an empty corpus")
+
+        monkeypatch.setattr(trainer, "train", no_training)
+        code, out, err = run(
+            capsys, command, "--quiet",
+            "--train-src", "d/train.src", "--train-tgt", "d/train.tgt",
+            "--valid-src", "d/valid.src", "--valid-tgt", "d/valid.tgt",
+            "--src-vocab", "d/vocab.txt", "--tgt-vocab", "d/vocab.txt",
+            "--max-len", "1", "--max-updates", "2", "--eval-every", "1", *rows,
+        )
+        assert code == 2
+        n_train = len((lex_dir / "train.src").read_text().splitlines())
+        assert err == f"error: no training pair fits max_len=1 ({n_train} over length)\n"
         assert not out
 
 

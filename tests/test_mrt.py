@@ -551,12 +551,13 @@ class TestOneDecoderWalk:
         assert grad.tobytes() == ref_grad.tobytes()
 
     @settings(max_examples=100, deadline=None)
-    @given(data=st.data(), n_pairs=st.integers(2, 12))
+    @given(data=st.data(), n_pairs=st.integers(2, 24))
     def test_mle_row_groups_byte_equal_to_reference(self, data, n_pairs):
         """Pairs of at most three (source length, target length) shapes in
-        shuffled order, so groups of several rows and singletons mix. One
-        shape's targets hold 9-12 tokens, so each row's pick sum runs past
-        numpy's 8-element pairwise block."""
+        shuffled order, so groups of several rows and singletons mix, and
+        one shape's group can hold more than 16 rows. One shape's targets
+        hold 9-12 tokens, so each row's pick sum runs past numpy's 8-element
+        pairwise block."""
         params, vocab, _ = random_model(data.draw)
         long_shape = st.tuples(st.integers(1, 5), st.integers(9, 12))
         shapes = [data.draw(long_shape)] + data.draw(st.lists(
