@@ -2,7 +2,7 @@
 
 Subcommands: gen-synthetic, build-vocab, train, decode, evaluate, sample,
 oracle, alpha-sweep, k-sweep. Exit codes: 0 success, 1 usage error,
-2 data/validation error.
+2 data/validation error (any ``RiskseqError``, or a file that cannot be read).
 """
 
 from __future__ import annotations
@@ -19,12 +19,11 @@ import numpy as np
 from . import data, metrics, mrt, oracle, trainer
 from .data import Corpus, DataError, Vocab
 from .decoder import DEFAULT_BEAM, decode_corpus
-from .diffcore import DiffError, ParamStore, atomic_writer
-from .metrics import LossKind, MetricError
-from .model import EOS, ModelConfig, ModelError, check_params, init_params
+from .diffcore import ParamStore, RiskseqError, atomic_writer
+from .metrics import LossKind
+from .model import EOS, ModelConfig, check_params, init_params
 from .model import check_vocabs, load_model, save_model
 from .mrt import MrtError
-from .oracle import OracleError
 from .trainer import TrainConfig, TrainError
 
 log = logging.getLogger("riskseq")
@@ -217,10 +216,6 @@ def _load_checkpoint(args) -> tuple[ParamStore, ModelConfig, Vocab, Vocab]:
 def cmd_decode(args) -> int:
     params, model_cfg, src_vocab, tgt_vocab = _load_checkpoint(args)
     max_len = args.max_len if args.max_len is not None else model_cfg.max_len
-    if args.beam < 1:
-        raise DataError(f"beam width must be >= 1, got {args.beam}")
-    if max_len < 1:
-        raise DataError(f"length limit must be >= 1, got {max_len}")
     sources = [
         src_vocab.encode(words)
         for words in data.read_token_lines(args.input, model_input=True)
@@ -517,18 +512,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (
-        DataError,
-        MetricError,
-        ModelError,
-        MrtError,
-        OracleError,
-        TrainError,
-        DiffError,
-        OSError,
-        UnicodeError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (RiskseqError, OSError, UnicodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_EXIT
 

@@ -10,6 +10,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .diffcore import RiskseqError
 from .model import EOS, RESERVED_TOKENS, UNK
 
 __all__ = [
@@ -31,7 +32,7 @@ log = logging.getLogger(__name__)
 MODEL_INPUT_RESERVED = frozenset(RESERVED_TOKENS) - {"<unk>"}
 
 
-class DataError(Exception):
+class DataError(RiskseqError):
     pass
 
 

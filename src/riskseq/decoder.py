@@ -7,11 +7,12 @@ to the lexicographically smallest token sequence). PAD and BOS are never
 proposed as output tokens.
 
 ``decode_corpus`` is the one search. It takes the sources of one length in
-groups of up to ``GROUP`` and encodes each group once as a row batch. It
-keeps one decoder-state row per live hypothesis of every sentence in the
-group, with an owner index giving each row's sentence, so each iteration
-steps them all with one ``BoundModel.step_logits`` call, each row attending
-over its own sentence's annotations. Selection from a sentence's flattened
+groups of up to ``GROUP`` and encodes each group once as a row batch,
+(B, ...) for every B >= 1. It keeps one decoder-state row per live
+hypothesis of every sentence in the group, with an owner index giving each
+row's sentence, so each iteration steps them all with one
+``BoundModel.step_logits`` call, each row attending over its own
+sentence's annotations. Selection from a sentence's flattened
 (live, token) scores, the early stop and the final pick run per sentence;
 a sentence's rows leave the batch once it stops. Every row keeps the bits
 of stepping its hypothesis alone (see ``model``), so a sentence decodes to
@@ -25,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .diffcore import Node, ParamStore, Tape, log_softmax
-from .model import BOS, EOS, PAD, BoundModel, _by_position, _check_source
+from .model import BOS, EOS, PAD, BoundModel, ModelError, _check_source
 
 __all__ = ["greedy_decode", "beam_decode", "decode_corpus", "DEFAULT_BEAM"]
 
@@ -66,9 +67,9 @@ def decode_corpus(
     """The beam-search output of each source, in input order. Arguments,
     then the sources in input order, are checked before any is decoded."""
     if width < 1:
-        raise ValueError(f"beam width must be >= 1, got {width}")
+        raise ModelError(f"beam width must be >= 1, got {width}")
     if max_len < 1:
-        raise ValueError(f"length limit must be >= 1, got {max_len}")
+        raise ModelError(f"length limit must be >= 1, got {max_len}")
     bound = BoundModel(params, Tape(record=False))
     by_length: dict[int, list[int]] = {}
     for i, src in enumerate(sources):
@@ -94,7 +95,7 @@ def _search(
     length_normalize: bool,
 ) -> list[tuple[int, ...]]:
     """Beam search for a group of checked sources of one length."""
-    ann = bound.encode(_by_position(group))
+    ann = bound.encode(np.array(group).T)
     # every token but PAD and BOS is proposed, even one of log-prob -inf
     proposed = [tok for tok in range(bound.tgt_vocab_size) if tok not in (PAD, BOS)]
     columns, n = np.array(proposed), len(proposed)
@@ -115,7 +116,7 @@ def _search(
     completed: list[list[Hyp]] = [[] for _ in group]
     active = list(range(len(group)))
     owner = np.arange(len(group))
-    z = Node(bound.initial_state(ann).value.reshape(len(group), -1))
+    z = bound.initial_state(ann)
 
     for _ in range(max_len):
         if not active:

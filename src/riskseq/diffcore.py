@@ -17,9 +17,10 @@ the contributions in tuple order (a copy for the first, then ``+=``), so
 a fused node then gives the same gradient bits as the primitives it stands
 for. Pre-summing two contributions to one input changes the rounding.
 
-Values may carry a leading axis of B independent rows (a row batch). A
-seed of one loss per row then gives each parameter one adjoint per row,
-each with the bits of sweeping its row alone.
+Values may carry a leading axis of B independent rows (a row batch),
+(B, ...) for every B >= 1. A seed of one loss per row then gives each
+parameter one adjoint per row, each with the bits of sweeping its row
+alone.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
+    "RiskseqError",
     "DiffError",
     "ShapeMismatchError",
     "NonFiniteError",
@@ -50,7 +52,12 @@ __all__ = [
 FD_STEP = 1e-5
 
 
-class DiffError(Exception):
+class RiskseqError(Exception):
+    """Base class of every error riskseq raises for bad input or state; the
+    CLI exits 2 on any of them."""
+
+
+class DiffError(RiskseqError):
     """Base class for errors raised by the differentiation core."""
 
 

@@ -20,6 +20,7 @@ import math
 from collections import Counter
 from typing import Hashable, Mapping, Sequence
 
+from .diffcore import RiskseqError
 from .model import BOS, EOS, PAD
 
 __all__ = [
@@ -47,7 +48,7 @@ Token = Hashable
 Tokens = Sequence[Token]
 
 
-class MetricError(Exception):
+class MetricError(RiskseqError):
     pass
 
 

@@ -7,14 +7,15 @@ decoder state, attention context] followed by a linear output projection.
 
 All weight matrices are stored (in_dim, out_dim) and applied as x @ W so
 the tape only ever needs vector-matrix products. Encoding and decoder steps
-also take a batch of rows: B sources of one length, B token ids and (B, H)
-states. Beam search steps every live hypothesis of a group of same-length
-sources so, without recording, each row attending over its own sentence's
-annotations (``Annotations.rows``); MLE steps sentences of one shape so on
-a recording tape. Every product, forward and VJP, goes through ``_vm``,
-whose stacked form makes one gemv call per row, the call a single row
-makes, and parameter contributions keep a leading row axis. So every row
-keeps the bits of stepping it alone, its gradient included.
+also take a row batch, (B, ...) for every B >= 1: B sources of one length as
+an (S, B) array, B token ids and (B, H) states; only ``PrefixMemo`` and the
+oracle walk 1-D. Beam search steps every live hypothesis of a group of
+same-length sources so, without recording, each row attending over its own
+sentence's annotations (``Annotations.rows``); MLE steps sentences of one
+shape so on a recording tape. Every product, forward and VJP, goes through
+``_vm``, whose stacked form makes one gemv call per row, the call a single
+row makes, and parameter contributions keep a leading row axis. So every
+row keeps the bits of stepping it alone, its gradient included.
 
 A GRU step, the attention, the readout and the initial state are each one
 fused tape node (see ``diffcore``). Their forwards run the numpy calls of
@@ -32,7 +33,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .diffcore import DiffError, Node, ParamStore, Tape, atomic_writer, log_softmax, sigmoid
+from .diffcore import DiffError, Node, ParamStore, RiskseqError, Tape
+from .diffcore import atomic_writer, log_softmax, sigmoid
 
 __all__ = [
     "PAD",
@@ -62,7 +64,7 @@ RESERVED_TOKENS = ("<pad>", "<eos>", "<unk>", "<bos>")
 INIT_SCALE = 0.08
 
 
-class ModelError(Exception):
+class ModelError(RiskseqError):
     pass
 
 
@@ -186,18 +188,16 @@ class Annotations:
     """Per-source-position encoder states (forward||backward concatenation),
     plus the attention projection precomputed once per sentence."""
 
-    matrix: Node         # (M, 2H)
-    attn_proj: Node      # (M, A)
-    bwd_first: Node      # (H,) backward state at position 0, seeds the decoder
+    matrix: Node         # (B, M, 2H), or (M, 2H) walked 1-D
+    attn_proj: Node      # (B, M, A), or (M, A)
+    bwd_first: Node      # (B, H), or (H,): backward state at position 0, seeds the decoder
 
     def rows(self, owner: np.ndarray) -> "Annotations":
         """Row i holds the annotations of sentence ``owner[i]`` of the
-        encoded batch (a lone sentence is sentence 0), for a row step whose
-        rows come from several sentences. The rows are constants."""
-        lone = self.bwd_first.value.ndim == 1
+        encoded row batch, for a row step whose rows come from several
+        sentences. The rows are constants."""
         matrix, proj, first = (
-            Node((a.value[None] if lone else a.value)[owner])
-            for a in (self.matrix, self.attn_proj, self.bwd_first)
+            Node(a.value[owner]) for a in (self.matrix, self.attn_proj, self.bwd_first)
         )
         return Annotations(matrix=matrix, attn_proj=proj, bwd_first=first)
 
@@ -447,15 +447,6 @@ def _check_source(src: Sequence[int] | np.ndarray, vocab_size: int) -> None:
             raise ModelError(f"source token id {tok} out of range")
     if PAD in toks:
         raise ModelError("PAD inside source sentence")
-
-
-def _by_position(seqs: Sequence[Sequence[int]]) -> np.ndarray:
-    """Token ids of equal-length sequences position by position: a lone
-    sequence's ids, or for B sequences a (L, B) array, one row per
-    position, so one sequence steps with 1-D operands."""
-    if len(seqs) == 1:
-        return np.asarray(seqs[0])
-    return np.array(seqs).T
 
 
 def _validate_target(tgt: Sequence[int], vocab_size: int) -> None:

@@ -14,10 +14,8 @@ per-source ``model.PrefixMemo``, so a state shared by several trajectories
 or candidates is computed once; spaces and gradients are bit-identical to
 stepping the model afresh for every trajectory and candidate. MLE groups
 the whole batch by shape and steps each shape's sentences as one row batch
-on one recording tape, with each row's loss and gradient bit-identical to
-walking it alone. Each pair's gradient is held until every group is done,
-so at batch 80 MLE's traced peak is 19.4 MB for the recipe model and
-73.0 MB for the default ``ModelConfig`` (E=32, H=64, A=32, V=20).
+on one recording tape, (B, ...) for every B >= 1, with each row's loss and
+gradient bit-identical to walking it alone.
 """
 
 from __future__ import annotations
@@ -28,10 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from . import metrics
-from .diffcore import ParamStore, Tape, log_softmax
-from .model import (
-    BOS, EOS, BoundModel, PrefixMemo, _by_position, _checked_target, _validate_target,
-)
+from .diffcore import ParamStore, RiskseqError, Tape, log_softmax
+from .model import BOS, EOS, BoundModel, PrefixMemo, _checked_target, _validate_target
 
 __all__ = [
     "MrtError",
@@ -54,7 +50,7 @@ DEFAULT_ALPHA = 5e-3
 DEFAULT_K = 100
 
 
-class MrtError(Exception):
+class MrtError(RiskseqError):
     pass
 
 
@@ -147,10 +143,8 @@ def build_space(
     memo: PrefixMemo | None = None,
 ) -> SampledSpace:
     """Deduplicate trajectories and assemble the candidate space with the
-    gold translation first."""
-    gold = tuple(gold)
-    if not gold or gold[-1] != EOS:
-        raise MrtError("gold translation must end with EOS")
+    gold translation first; the gold is checked as MLE checks a target."""
+    gold = tuple(_checked_target(gold))
     candidates: list[tuple[int, ...]] = [gold]
     seen = {gold}
     for traj in trajectories:
@@ -289,7 +283,7 @@ def mle_loss_and_grad(
     order to sums that start from zero. Until then each pair's gradient is
     held, so memory grows with batch size times parameter count: at batch
     80 the traced peak is 19.4 MB for the recipe model and 73.0 MB for the
-    default ``ModelConfig``."""
+    default ``ModelConfig`` (E=32, H=64, A=32, V=20)."""
     if not batch:
         raise MrtError("empty batch")
     vocab = params["out_b"].shape[0]
@@ -320,15 +314,12 @@ def _rows_nll_and_adjoints(
     the parameters' linear order."""
     tape = Tape()
     bound = BoundModel(params, tape)
-    ann = bound.encode(_by_position([src for src, _ in pairs]))
-    tgt = _by_position([(BOS, *tgt) for _, tgt in pairs])
+    ann = bound.encode(np.array([src for src, _ in pairs]).T)
+    tgt = np.array([(BOS, *tgt) for _, tgt in pairs]).T
     z, picks = bound.initial_state(ann), []
     for prev, tok in zip(tgt[:-1], tgt[1:]):
         logits, z = bound.step_logits(prev, z, ann)
         picks.append(tape.pick(tape.log_softmax(logits), tok))
     seed = tape.scale(tape.sum(tape.stack_rows(picks), axis=0), -1.0)
     adjoints = tape.gradient(seed, None, bound.pn)
-    B = len(pairs)  # a lone pair walks 1-D: give it its row axis back
-    return seed.value.reshape(B), [
-        adjoints[name].reshape((B,) + arr.shape) for name, arr in params.items()
-    ]
+    return seed.value, [adjoints[name] for name in params.names()]

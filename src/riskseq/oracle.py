@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import metrics
-from .diffcore import ParamStore, Tape, finite_diff_grad, relative_error
+from .diffcore import ParamStore, RiskseqError, Tape, finite_diff_grad, relative_error
 from .model import BOS, EOS, BoundModel
 from .mrt import SampledSpace, candidate_logprobs, expected_risk, mrt_grad
 from .mrt import q_distribution, sentence_risk
@@ -35,7 +35,7 @@ ENUMERATION_BUDGET = 10**6
 FIRST_CONTENT_ID = 4
 
 
-class OracleError(Exception):
+class OracleError(RiskseqError):
     pass
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from . import metrics, mrt
 from .data import Corpus
 from .decoder import DEFAULT_BEAM, decode_corpus
-from .diffcore import ParamStore
+from .diffcore import ParamStore, RiskseqError
 from .metrics import LossKind
 from .model import ModelConfig, check_params, init_params
 
@@ -43,7 +43,7 @@ DEFAULT_MLE_LR = 0.5
 DEFAULT_MRT_LR = 0.05
 
 
-class TrainError(Exception):
+class TrainError(RiskseqError):
     pass
 
 

@@ -3,6 +3,7 @@ and every function the benchmark traces still exists under its name."""
 
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -22,6 +23,24 @@ def test_every_name_in_all_resolves(module_name):
     missing = [name for name in exported if not hasattr(module, name)]
     assert not missing, f"{module_name}.__all__ names missing attributes: {missing}"
     assert len(set(exported)) == len(exported), f"duplicates in {module_name}.__all__"
+
+
+def test_every_error_class_subclasses_riskseq_error():
+    """``cli.main`` turns a ``RiskseqError`` into exit code 2; an error
+    class outside it would escape as a traceback. ``cli.UsageError`` is the
+    one exception: it exits 1."""
+    from riskseq.cli import UsageError
+    from riskseq.diffcore import RiskseqError
+
+    outside = [
+        f"{name}.{cls.__name__}"
+        for name in MODULES
+        for cls in vars(importlib.import_module(name)).values()
+        if inspect.isclass(cls) and issubclass(cls, BaseException)
+        and cls.__module__ == name and cls is not UsageError
+        and not issubclass(cls, RiskseqError)
+    ]
+    assert not outside, f"errors outside RiskseqError: {outside}"
 
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"

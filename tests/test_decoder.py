@@ -245,18 +245,18 @@ class TestBeam:
 
     def test_invalid_width_rejected(self):
         _, params_list = models(1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ModelError):
             beam_decode(params_list[0], [4], 0, 6)
-        with pytest.raises(ValueError, match="beam width"):
+        with pytest.raises(ModelError, match="beam width"):
             decode_corpus(params_list[0], [], 0, 5)
 
     def test_length_limit_below_one_rejected(self):
         _, params_list = models(1)
-        with pytest.raises(ValueError, match="length limit"):
+        with pytest.raises(ModelError, match="length limit"):
             beam_decode(params_list[0], [4], 2, 0)
-        with pytest.raises(ValueError, match="length limit"):
+        with pytest.raises(ModelError, match="length limit"):
             greedy_decode(params_list[0], [4], 0)
-        with pytest.raises(ValueError, match="length limit"):
+        with pytest.raises(ModelError, match="length limit"):
             decode_corpus(params_list[0], [], 2, 0)
 
     def test_deterministic(self):

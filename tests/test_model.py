@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_logprob_nodes
+from conftest import reference_logprob_nodes, reference_mle_loss_and_grad
 from riskseq.diffcore import Node, ParamStore, Tape, log_softmax
 from riskseq.model import (
     BOS,
@@ -31,7 +31,6 @@ from riskseq.model import (
 )
 from riskseq.mrt import (
     expected_risk,
-    mle_loss_and_grad,
     mrt_grad,
     q_distribution,
     sample_space,
@@ -314,7 +313,9 @@ def forward_values(params, src, tgt, record):
 
 
 def gradient_bytes(params, src, tgt, seed):
-    loss, grad = mle_loss_and_grad(params, [(src, tgt)])
+    # The per-op primitives step 1-D only, so the MLE gradient comes from
+    # the 1-D reference walk; test_mrt checks row batches against it.
+    loss, grad = reference_mle_loss_and_grad(params, [(src, tgt)])
     rng = np.random.default_rng(seed)
     space = sample_space(params, src, tgt, 6, len(tgt) + 1, rng)
     q = q_distribution(space, 0.5)

@@ -15,7 +15,7 @@ from conftest import (
 )
 from riskseq.diffcore import DiffError, Tape, finite_diff_grad, relative_error
 from riskseq.metrics import LossKind, build_info_table, delta
-from riskseq.model import BOS, EOS, BoundModel, ModelConfig, ModelError, PrefixMemo
+from riskseq.model import BOS, EOS, PAD, BoundModel, ModelConfig, ModelError, PrefixMemo
 from riskseq.model import init_params
 from riskseq.mrt import (
     MrtError,
@@ -200,8 +200,21 @@ class TestBuildSpace:
 
     def test_gold_must_end_with_eos(self, toy_model):
         _, params = toy_model
-        with pytest.raises(MrtError):
+        with pytest.raises(ModelError):
             build_space(params, SRC, (4, 5), [], 1, 4)
+
+    def test_gold_holding_pad_rejected(self, toy_model):
+        """MRT's gold follows MLE's target rule, so a PAD inside it is an
+        error, not a candidate scored with PAD as a word."""
+        _, params = toy_model
+        gold = (4, PAD, EOS)
+        with pytest.raises(ModelError, match="PAD inside target sentence"):
+            sample_space(params, SRC, gold, 4, 5, np.random.default_rng(0))
+        with pytest.raises(ModelError, match="PAD inside target sentence"):
+            mrt_loss_and_grad(params, [(SRC, gold)], LossKind.SMOOTHED_TER, 0.5, 4, 5,
+                              [np.random.default_rng(0)])
+        with pytest.raises(ModelError, match="PAD inside target sentence"):
+            mle_loss_and_grad(params, [(SRC, gold)])
 
     def test_logprobs_match_direct_scoring(self, toy_model):
         from riskseq.model import sequence_logprob
