@@ -277,8 +277,10 @@ def _check_n_seeds(n_seeds: int) -> None:
 
 def cmd_oracle(args) -> int:
     seed = args.seed
-    if args.vocab < 5:
-        raise DataError(f"--vocab must be >= 5 (one content token), got {args.vocab}")
+    if args.vocab <= oracle.FIRST_CONTENT_ID:
+        raise DataError(
+            f"--vocab must be >= {oracle.FIRST_CONTENT_ID + 1} (one content token), got {args.vocab}"
+        )
     if args.max_len < 3:
         raise DataError(f"--max-len must be >= 3 (2 gold tokens + EOS), got {args.max_len}")
     if min(args.ks) < 1:
@@ -297,7 +299,7 @@ def cmd_oracle(args) -> int:
     )
     params = init_params(model_cfg, seed)
     rng = np.random.default_rng([seed, 1])
-    content = list(range(4, args.vocab))
+    content = list(range(oracle.FIRST_CONTENT_ID, args.vocab))
     src = [content[int(rng.integers(len(content)))] for _ in range(2)]
     gold = [content[int(rng.integers(len(content)))] for _ in range(2)] + [EOS]
 

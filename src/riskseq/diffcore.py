@@ -63,18 +63,13 @@ class DiffError(RiskseqError):
 
 class ShapeMismatchError(DiffError):
     def __init__(self, primitive: str, shape_a, shape_b):
-        self.primitive = primitive
-        self.shape_a = tuple(shape_a)
-        self.shape_b = tuple(shape_b)
         super().__init__(
-            f"{primitive}: incompatible shapes {self.shape_a} and {self.shape_b}"
+            f"{primitive}: incompatible shapes {tuple(shape_a)} and {tuple(shape_b)}"
         )
 
 
 class NonFiniteError(DiffError):
-    def __init__(self, message: str, index: int | None = None):
-        self.index = index
-        super().__init__(message)
+    pass
 
 
 class Node:
@@ -89,10 +84,6 @@ class Node:
         self.value = value
         self.parents = parents
         self.vjp = vjp
-
-    @property
-    def shape(self):
-        return self.value.shape
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -488,9 +479,7 @@ def finite_diff_grad(
         lo = float(f(work))
         theta[i] = saved
         if not (np.isfinite(hi) and np.isfinite(lo)):
-            raise NonFiniteError(
-                f"non-finite objective at parameter index {i}", index=i
-            )
+            raise NonFiniteError(f"non-finite objective at parameter index {i}")
         grad[i] = (hi - lo) / (2.0 * step)
     work.set_flat(theta)
     return grad

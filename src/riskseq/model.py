@@ -369,11 +369,10 @@ class PrefixMemo:
     Sampling, rescoring and scoring step the decoder through a memo on its
     default non-recording tape. MRT passes a recording ``tape``; each
     prefix then also keeps the nodes its step emitted (the empty prefix,
-    ``initial_state``'s too), which ``logprob_node`` picks from for the
-    first target it scores and re-emits for every later one. Beam search
-    keeps its own state rows (see ``decoder``), MLE walks row batches (see
-    ``mrt.mle_loss_and_grad``), and the oracle's enumeration its own walk
-    as an independent reference.
+    ``initial_state``'s too), which ``logprob_node`` re-emits for every
+    target it scores. Beam search keeps its own state rows (see
+    ``decoder``), MLE walks row batches (see ``mrt.mle_loss_and_grad``),
+    and the oracle's enumeration its own walk as an independent reference.
     """
 
     def __init__(self, params: ParamStore, src: Sequence[int], tape: Tape | None = None):
@@ -383,7 +382,6 @@ class PrefixMemo:
         self.ann = self.bound.encode(self.src)
         # prefix -> (next token's log-distribution, state z after prefix, step's nodes)
         self._steps: dict[tuple[int, ...], tuple[np.ndarray, Node, list[Node]]] = {}
-        self._scored = False  # whether logprob_node has used the memo's own nodes
 
     def next_logdist(self, prefix: tuple[int, ...]) -> np.ndarray:
         """Prefixes must be visited shortest first: the step after
@@ -412,26 +410,20 @@ class PrefixMemo:
         return float(np.array(picks).sum()), [float(p) for p in picks]
 
     def logprob_node(self, tgt: Sequence[int]) -> Node:
-        """``logprob``'s total on the memo's recording tape. The first
-        target scored picks from the memo's own nodes. For each later one,
-        each prefix's nodes are emitted again, parents mapped to this
+        """``logprob``'s total on the memo's recording tape. Each prefix's
+        nodes are emitted again for every target, parents mapped to this
         target's copies, while annotations and parameters stay shared. VJPs
         read only forward values, so the copies back-propagate as a fresh
-        walk would. The first target's nodes precede every copy on the tape,
-        so adjoints still add in a fresh walk's order."""
+        walk would, and the memo's own step nodes are never swept."""
         tgt, tape, copies, picks = tuple(tgt), self.bound.tape, {}, []
         if not tape.record:
             raise DiffError("logprob_node needs a memo on a recording tape")
         _validate_target(tgt, self.bound.tgt_vocab_size)
-        copying, self._scored = self._scored, True
         for n, tok in enumerate(tgt):
             self.next_logdist(tgt[:n])
-            nodes = self._steps[tgt[:n]][2]
-            node = nodes[-1]
-            if copying:
-                for node in nodes:
-                    parents = tuple(copies.get(p, p) for p in node.parents)
-                    copies[node] = node = tape.emit(node.value, parents, node.vjp)
+            for node in self._steps[tgt[:n]][2]:
+                parents = tuple(map(copies.get, node.parents, node.parents))
+                copies[node] = node = tape.emit(node.value, parents, node.vjp)
             picks.append(tape.pick(node, tok))
         return tape.sum(tape.stack_rows(picks))
 

@@ -195,7 +195,7 @@ def expected_risk(
     losses = np.asarray(losses, dtype=np.float64)
     if losses.shape != (len(space.candidates),):
         raise MrtError(
-            f"{losses.shape[0]} losses for {len(space.candidates)} candidates"
+            f"losses of shape {losses.shape} for {len(space.candidates)} candidates"
         )
     # pairwise sum, not a BLAS dot: thread-count independent at any k
     risk = float(np.sum(q * losses))

@@ -3,8 +3,8 @@
 For tiny target vocabularies every EOS-terminated sequence up to the
 length limit is enumerable, giving ground-truth expectations and
 gradients against which the sampled estimators are tested. Content tokens
-are the non-reserved ids (>= 4); a "translation" is a sequence of content
-tokens followed by EOS.
+are the non-reserved ids (``FIRST_CONTENT_ID`` and up); a "translation" is
+a sequence of content tokens followed by EOS.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import metrics
 from .diffcore import ParamStore, RiskseqError, Tape, finite_diff_grad, relative_error
-from .model import BOS, EOS, BoundModel
+from .model import BOS, EOS, RESERVED_TOKENS, BoundModel
 from .mrt import SampledSpace, candidate_logprobs, expected_risk, mrt_grad
 from .mrt import q_distribution, sentence_risk
 
@@ -32,7 +32,7 @@ __all__ = [
 
 ENUMERATION_BUDGET = 10**6
 
-FIRST_CONTENT_ID = 4
+FIRST_CONTENT_ID = len(RESERVED_TOKENS)
 
 
 class OracleError(RiskseqError):
@@ -41,7 +41,6 @@ class OracleError(RiskseqError):
 
 class EnumerationBudgetError(OracleError):
     def __init__(self, count: int):
-        self.count = count
         super().__init__(
             f"enumeration would produce {count} sequences "
             f"(budget {ENUMERATION_BUDGET})"
@@ -66,6 +65,8 @@ def space_size(n_content: int, max_len: int) -> int:
 def enumerate_space(
     params: ParamStore, src: Sequence[int], max_len: int
 ) -> FullSpace:
+    if max_len < 1:
+        raise OracleError(f"the length limit must be >= 1, got {max_len}")
     tgt_vocab = params["out_b"].shape[0]
     content = range(FIRST_CONTENT_ID, tgt_vocab)
     count = space_size(len(content), max_len)
@@ -112,7 +113,7 @@ def exact_risk_over(
     losses = np.asarray(losses, dtype=np.float64)
     if losses.shape != (len(space.sequences),):
         raise OracleError(
-            f"{losses.shape[0]} losses for {len(space.sequences)} sequences"
+            f"losses of shape {losses.shape} for {len(space.sequences)} sequences"
         )
     return float(_q_full(space.logprobs, alpha) @ losses)
 

@@ -326,7 +326,7 @@ class TestDecodeCorpus:
             return encode(self, src)
 
         def spy_step(self, prev, z, ann):
-            calls.append(("step", len(prev), ann.matrix.shape[:2]))
+            calls.append(("step", len(prev), ann.matrix.value.shape[:2]))
             return step(self, prev, z, ann)
 
         monkeypatch.setattr(BoundModel, "encode", spy_encode)

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 
 import numpy as np
@@ -76,11 +77,10 @@ class TestPrimitives:
 
     def test_matmul_shape_error_names_primitive(self):
         tape = Tape()
-        with pytest.raises(ShapeMismatchError) as err:
+        with pytest.raises(
+            ShapeMismatchError, match=re.escape("matmul: incompatible shapes (2, 3) and (2, 3)")
+        ):
             tape.matmul(tape.const(np.ones((2, 3))), tape.const(np.ones((2, 3))))
-        assert err.value.primitive == "matmul"
-        assert err.value.shape_a == (2, 3)
-        assert err.value.shape_b == (2, 3)
 
     def test_softmax_rows_sum_to_one_and_survive_large_inputs(self):
         tape = Tape()
@@ -279,9 +279,8 @@ class TestFiniteDiff:
             with np.errstate(divide="ignore"):
                 return float(np.log(np.maximum(s["theta"][1], 0.0)))
 
-        with pytest.raises(NonFiniteError) as err:
+        with pytest.raises(NonFiniteError, match="non-finite objective at parameter index 1$"):
             finite_diff_grad(f, store)
-        assert err.value.index == 1
 
 
 class TestParamStore:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -319,6 +320,12 @@ class TestExpectedRisk:
         with pytest.raises(MrtError):
             expected_risk(space, q, [0.0])
 
+    @pytest.mark.parametrize("shape", [(), (2, 1), (3,)])
+    def test_malformed_losses_rejected_naming_shape(self, shape):
+        space, q, _ = self._setup([0.0, 1.0])
+        with pytest.raises(MrtError, match=re.escape(f"losses of shape {shape} for 2 candidates")):
+            expected_risk(space, q, np.zeros(shape))
+
 
 def _space_and_losses(params, candidates, gold):
     space = build_space(params, SRC, gold, candidates, len(candidates), 6)
@@ -485,8 +492,8 @@ class TestOneDecoderWalk:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), k=st.integers(1, 39), alpha=st.sampled_from([5e-3, 1.0]))
     def test_repeated_mrt_grad_on_one_memo_byte_equal(self, data, k, alpha):
-        """The first call picks from the memo's own nodes, the second
-        copies every step; both equal the fresh walk's gradient."""
+        """Each call copies every step again; both calls equal the fresh
+        walk's gradient."""
         params, vocab, seed = random_model(data.draw)
         src = data.draw(st.lists(st.integers(4, 5), min_size=1, max_size=4))
         body = data.draw(st.lists(st.integers(4, vocab - 1), min_size=1, max_size=3))
@@ -533,19 +540,19 @@ class TestOneDecoderWalk:
         assert np.float64(risk).tobytes() == np.float64(ref_risk).tobytes()
         assert grad.tobytes() == ref_grad.tobytes()
 
-    def test_first_target_emits_no_copies(self, toy_model):
+    def test_every_target_is_copied(self, toy_model):
         _, params = toy_model
         memo = PrefixMemo(params, SRC, Tape())
         tape = memo.bound.tape
+        encoded = len(tape.nodes)
         for n in range(len(GOLD)):
             memo.next_logdist(GOLD[:n])
-        stepped = len(tape.nodes)
-        memo.logprob_node(GOLD)
-        # one pick per token, their stack and its sum
-        assert len(tape.nodes) - stepped == len(GOLD) + 2
-        stepped = len(tape.nodes)
-        memo.logprob_node(GOLD)
-        assert len(tape.nodes) - stepped > len(GOLD) + 2
+        chain = len(tape.nodes) - encoded
+        for _ in range(2):
+            stepped = len(tape.nodes)
+            memo.logprob_node(GOLD)
+            # a copy of every step's nodes, one pick per token, their stack and its sum
+            assert len(tape.nodes) - stepped == chain + len(GOLD) + 2
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), n_pairs=st.integers(1, 4))

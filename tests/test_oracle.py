@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -33,12 +35,19 @@ class TestSpaceSize:
     def test_budget_enforced(self):
         cfg = toy_config(tgt_vocab=14, max_len=7)  # 10 content tokens
         params = noisy_params(cfg, seed=0)
-        with pytest.raises(EnumerationBudgetError) as err:
+        with pytest.raises(
+            EnumerationBudgetError, match=f"enumeration would produce {space_size(10, 7)} sequences"
+        ):
             enumerate_space(params, SRC, max_len=7)
-        assert err.value.count == space_size(10, 7)
 
 
 class TestEnumerateSpace:
+    @pytest.mark.parametrize("max_len", [0, -1])
+    def test_length_limit_below_one_rejected(self, max_len):
+        _, params = small_model()
+        with pytest.raises(OracleError, match=f"length limit must be >= 1, got {max_len}"):
+            enumerate_space(params, SRC, max_len)
+
     def test_counts_and_termination(self):
         _, params = small_model()
         full = enumerate_space(params, SRC, max_len=3)
@@ -94,6 +103,14 @@ class TestExactRisk:
         full = enumerate_space(params, SRC, max_len=3)
         with pytest.raises(OracleError):
             exact_risk_over(full, [0.0], 1.0)
+
+    # the space below holds space_size(2, 3) = 7 sequences
+    @pytest.mark.parametrize("shape", [(), (7, 1), (8,)])
+    def test_malformed_losses_rejected_naming_shape(self, shape):
+        _, params = small_model()
+        full = enumerate_space(params, SRC, max_len=3)
+        with pytest.raises(OracleError, match=re.escape(f"losses of shape {shape} for 7 sequences")):
+            exact_risk_over(full, np.zeros(shape), 1.0)
 
     def test_risk_bounded_by_loss_range(self):
         _, params = small_model(seed=4)
