@@ -238,6 +238,9 @@ def cmd_evaluate(args) -> int:
             raise DataError(
                 f"{path}: {len(lines)} lines but hypothesis has {n}"
             )
+        for line_no, words in enumerate(lines, 1):
+            if not words:
+                raise DataError(f"{path}: line {line_no} is empty")
     refs = [[tuple(lines[i]) for lines in ref_lines] for i in range(n)]
     bleu = metrics.corpus_bleu(hyps, refs)
     ter = metrics.corpus_ter(hyps, refs)
@@ -305,7 +308,7 @@ def cmd_oracle(args) -> int:
 
     info = metrics.info_table_for(kind, [gold])
     full = oracle.enumerate_space(params, src, args.max_len)
-    losses = oracle.space_losses(full.sequences, gold, kind, info)
+    losses = mrt.candidate_losses(full.sequences, gold, kind, info)
     exact = oracle.exact_risk_over(full, losses, args.alpha)
 
     print("section,key,value")
@@ -326,10 +329,19 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _check_sweep_scores(inputs, cfg: TrainConfig) -> None:
-    """A sweep row is its best validation BLEU: refuse, before any
-    training, the settings under which no validation pass runs."""
-    _, _, _, _, valid_corpus = inputs
+def _sweep_inputs(args):
+    """A sweep's inputs, its TrainConfig and its start, the init checkpoint
+    loaded and checked once. A sweep row is its best validation BLEU:
+    refuse, before any training, the settings under which no validation
+    pass runs."""
+    run_cfg = load_run_config(args.config) if args.config else {}
+    inputs = _load_train_inputs(args, run_cfg)
+    _, _, model_cfg, _, valid_corpus = inputs
+    cfg = _train_config(args, run_cfg, inputs)
+    if cfg.init_checkpoint is None:
+        raise TrainError(f"{args.command} requires an initial checkpoint")
+    params = ParamStore.load(cfg.init_checkpoint)
+    check_params(params, model_cfg)
     if valid_corpus is None:
         raise DataError("a sweep needs --valid-src and --valid-tgt")
     if not 0 < cfg.eval_every <= cfg.max_updates:
@@ -337,9 +349,10 @@ def _check_sweep_scores(inputs, cfg: TrainConfig) -> None:
             f"a sweep needs 0 < eval_every <= max_updates, got eval_every "
             f"{cfg.eval_every} and max_updates {cfg.max_updates}"
         )
+    return inputs, cfg, params
 
 
-def _sweep_train(inputs, cfg: TrainConfig, initial: ParamStore | None = None):
+def _sweep_train(inputs, cfg: TrainConfig, initial: ParamStore):
     """One MRT run of a sweep, on inputs loaded once per command."""
     _, _, model_cfg, train_corpus, valid_corpus = inputs
     cfg = replace(cfg, criterion="mrt")
@@ -347,14 +360,11 @@ def _sweep_train(inputs, cfg: TrainConfig, initial: ParamStore | None = None):
 
 
 def cmd_alpha_sweep(args) -> int:
-    run_cfg = load_run_config(args.config) if args.config else {}
-    inputs = _load_train_inputs(args, run_cfg)
-    cfg = _train_config(args, run_cfg, inputs)
-    _check_sweep_scores(inputs, cfg)
+    inputs, cfg, params = _sweep_inputs(args)
     print("alpha,valid_bleu")
     for alpha in args.alphas:
         try:
-            result = _sweep_train(inputs, replace(cfg, alpha=alpha))
+            result = _sweep_train(inputs, replace(cfg, alpha=alpha), params)
             print(f"{alpha:g},{result.best_bleu:.2f}")
         except (TrainError, MrtError, DataError) as exc:
             log.error("alpha=%g failed: %s", alpha, exc)
@@ -364,15 +374,8 @@ def cmd_alpha_sweep(args) -> int:
 
 def cmd_k_sweep(args) -> int:
     _check_n_seeds(args.n_seeds)
-    run_cfg = load_run_config(args.config) if args.config else {}
-    inputs = _load_train_inputs(args, run_cfg)
+    inputs, cfg, params = _sweep_inputs(args)
     _, _, model_cfg, train_corpus, _ = inputs
-    cfg = _train_config(args, run_cfg, inputs)
-    if cfg.init_checkpoint is None:
-        raise TrainError("k-sweep requires an initial checkpoint")
-    params = ParamStore.load(cfg.init_checkpoint)
-    check_params(params, model_cfg)
-    _check_sweep_scores(inputs, cfg)
     info = metrics.info_table_for(cfg.loss_kind, [p.tgt for p in train_corpus.pairs])
     pair = train_corpus.pairs[0]
     print("k,risk_stddev,valid_bleu")

@@ -42,6 +42,7 @@ __all__ = [
     "Node",
     "Tape",
     "ParamStore",
+    "atomic_writer",
     "sigmoid",
     "log_softmax",
     "finite_diff_grad",

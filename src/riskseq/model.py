@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .diffcore import DiffError, Node, ParamStore, RiskseqError, Tape
+from .diffcore import Node, ParamStore, RiskseqError, Tape
 from .diffcore import atomic_writer, log_softmax, sigmoid
 
 __all__ = [
@@ -363,16 +363,16 @@ class PrefixMemo:
     """Decoder steps for one source, memoised by target prefix.
 
     ``next_logdist(prefix)`` is the log-distribution of the token after
-    ``prefix``. The source is encoded once, and each distinct prefix is
-    stepped once however many callers share it. The values are those of
-    stepping the model afresh: the same primitives run on the same inputs.
-    Sampling, rescoring and scoring step the decoder through a memo on its
-    default non-recording tape. MRT passes a recording ``tape``; each
-    prefix then also keeps the nodes its step emitted (the empty prefix,
-    ``initial_state``'s too), which ``logprob_node`` re-emits for every
-    target it scores. Beam search keeps its own state rows (see
-    ``decoder``), MLE walks row batches (see ``mrt.mle_loss_and_grad``),
-    and the oracle's enumeration its own walk as an independent reference.
+    ``prefix``, and ``logprob(tgt)`` log P(tgt | src) as a node, built once
+    per target. The source is encoded once, and each distinct prefix is
+    stepped once however many callers share it, with the values of stepping
+    the model afresh. Sampling and scoring use the default non-recording
+    tape. MRT passes a recording ``tape``; each prefix then also keeps the
+    nodes its step emitted (the empty prefix, ``initial_state``'s too),
+    which ``logprob`` re-emits for every target. Beam search keeps its own
+    state rows (see ``decoder``), MLE walks row batches (see
+    ``mrt.mle_loss_and_grad``), and the oracle's enumeration its own walk as
+    an independent reference.
     """
 
     def __init__(self, params: ParamStore, src: Sequence[int], tape: Tape | None = None):
@@ -380,8 +380,9 @@ class PrefixMemo:
         self.src = list(src)
         self.bound = BoundModel(params, Tape(record=False) if tape is None else tape)
         self.ann = self.bound.encode(self.src)
-        # prefix -> (next token's log-distribution, state z after prefix, step's nodes)
-        self._steps: dict[tuple[int, ...], tuple[np.ndarray, Node, list[Node]]] = {}
+        # prefix -> (next token's log-softmax node, state z after prefix, step's nodes)
+        self._steps: dict[tuple[int, ...], tuple[Node, Node, list[Node]]] = {}
+        self._totals: dict[tuple[int, ...], Node] = {}  # target -> its logprob node
 
     def next_logdist(self, prefix: tuple[int, ...]) -> np.ndarray:
         """Prefixes must be visited shortest first: the step after
@@ -395,37 +396,31 @@ class PrefixMemo:
             else:
                 z, prev = bound.initial_state(self.ann), BOS
             logits, z = bound.step_logits(prev, z, self.ann)
-            entry = (bound.tape.log_softmax(logits).value, z, bound.tape.nodes[start:])
+            entry = (bound.tape.log_softmax(logits), z, bound.tape.nodes[start:])
             self._steps[prefix] = entry
-        return entry[0]
+        return entry[0].value
 
-    def logprob(self, tgt: Sequence[int]) -> tuple[float, list[float]]:
-        """Total and per-token log P(tgt | src), the total reduced as
-        ``logprob_node`` reduces it (the picks in one vector, then summed).
-        Targets are scored verbatim: any vocabulary id, a terminal EOS not
-        needed (truncated samples lack it), but EOS only last."""
+    def logprob(self, tgt: Sequence[int]) -> Node:
+        """log P(tgt | src), the per-token picks stacked, then summed. Any
+        vocabulary id, EOS only last and not needed (truncated samples lack
+        it). A recording tape gets each prefix's nodes again, parents mapped
+        to this target's copies and annotations and parameters shared, so the
+        copies back-propagate as a fresh walk would; the memo's own step
+        nodes are never swept."""
         tgt = tuple(tgt)
+        if tgt in self._totals:
+            return self._totals[tgt]
         _validate_target(tgt, self.bound.tgt_vocab_size)
-        picks = [self.next_logdist(tgt[:n])[tok] for n, tok in enumerate(tgt)]
-        return float(np.array(picks).sum()), [float(p) for p in picks]
-
-    def logprob_node(self, tgt: Sequence[int]) -> Node:
-        """``logprob``'s total on the memo's recording tape. Each prefix's
-        nodes are emitted again for every target, parents mapped to this
-        target's copies, while annotations and parameters stay shared. VJPs
-        read only forward values, so the copies back-propagate as a fresh
-        walk would, and the memo's own step nodes are never swept."""
-        tgt, tape, copies, picks = tuple(tgt), self.bound.tape, {}, []
-        if not tape.record:
-            raise DiffError("logprob_node needs a memo on a recording tape")
-        _validate_target(tgt, self.bound.tgt_vocab_size)
+        tape, copies, picks = self.bound.tape, {}, []
         for n, tok in enumerate(tgt):
             self.next_logdist(tgt[:n])
-            for node in self._steps[tgt[:n]][2]:
+            node, _, nodes = self._steps[tgt[:n]]
+            for node in nodes:  # kept only when recording; the last is the log-softmax
                 parents = tuple(map(copies.get, node.parents, node.parents))
                 copies[node] = node = tape.emit(node.value, parents, node.vjp)
             picks.append(tape.pick(node, tok))
-        return tape.sum(tape.stack_rows(picks))
+        self._totals[tgt] = total = tape.sum(tape.stack_rows(picks))
+        return total
 
 
 def _check_source(src: Sequence[int] | np.ndarray, vocab_size: int) -> None:
@@ -465,8 +460,9 @@ def sequence_logprob(
     params: ParamStore, src: Sequence[int], tgt: Sequence[int]
 ) -> tuple[float, list[float]]:
     """Total and per-word log-probability of an EOS-terminated target."""
-    tgt = _checked_target(tgt)
-    return PrefixMemo(params, src).logprob(tgt)
+    tgt, memo = tuple(_checked_target(tgt)), PrefixMemo(params, src)
+    total = float(memo.logprob(tgt).value)
+    return total, [float(memo.next_logdist(tgt[:n])[tok]) for n, tok in enumerate(tgt)]
 
 
 # -- checkpoint + sidecar -------------------------------------------------

@@ -5,13 +5,15 @@ model's per-step distributions (k attempts, duplicates removed, gold
 inserted first). Risk is the expectation of a sentence-level loss under
 the alpha-sharpened Q-distribution over that space; its gradient uses
 baseline subtraction and holds the candidate set fixed. ``sentence_risk``
-is one sentence's sample -> loss -> Q -> risk. ``mrt_loss_and_grad`` and
-``mle_loss_and_grad`` are the two batch objectives: a summed loss and
-gradient.
+is one sentence's sample -> loss (``candidate_losses``) -> Q -> risk.
+``mrt_loss_and_grad`` and ``mle_loss_and_grad`` are the two batch
+objectives: a summed loss and gradient.
 
 Sampling, rescoring and the risk gradient step the decoder through one
 per-source ``model.PrefixMemo``, so a state shared by several trajectories
-or candidates is computed once; spaces and gradients are bit-identical to
+or candidates is computed once. Each candidate's log P(y|x) is one memo
+node, built once: rescoring reads its value for Q, and on a recording memo
+``mrt_grad`` seeds the same node. Spaces and gradients are bit-identical to
 stepping the model afresh for every trajectory and candidate. MLE groups
 the whole batch by shape and steps each shape's sentences as one row batch
 on one recording tape, (B, ...) for every B >= 1, with each row's loss and
@@ -26,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from . import metrics
-from .diffcore import ParamStore, RiskseqError, Tape, log_softmax
+from .diffcore import DiffError, ParamStore, RiskseqError, Tape, log_softmax
 from .model import BOS, EOS, BoundModel, PrefixMemo, _checked_target, _validate_target
 
 __all__ = [
@@ -34,10 +36,13 @@ __all__ = [
     "SampledSpace",
     "RiskReport",
     "sample_trajectories",
+    "candidate_logprobs",
+    "build_space",
     "sample_space",
     "q_distribution",
     "expected_risk",
     "mrt_grad",
+    "candidate_losses",
     "sentence_risk",
     "mrt_loss_and_grad",
     "mle_loss_and_grad",
@@ -124,12 +129,10 @@ def candidate_logprobs(
     memo: PrefixMemo | None = None,
 ) -> np.ndarray:
     """Model log-probabilities of candidates, decoder steps shared across
-    candidates with a common prefix."""
+    candidates with a common prefix: the values of the memo's ``logprob``
+    nodes, which a recording memo keeps for ``mrt_grad``."""
     memo = _memo_for(params, src, memo)
-    out = np.empty(len(candidates))
-    for i, cand in enumerate(candidates):
-        out[i] = memo.logprob(cand)[0]
-    return out
+    return np.array([memo.logprob(cand).value for cand in candidates])
 
 
 def build_space(
@@ -215,19 +218,23 @@ def mrt_grad(
 ) -> np.ndarray:
     """Gradient of the sampled expected risk with the candidate set held
     fixed: alpha * sum_i w_i (loss_i - R) * grad log P(y_i | x), where the
-    baseline R is the expected risk; a given ``memo`` must record."""
+    baseline R is the expected risk. A given ``memo`` must record; it seeds
+    the ``logprob`` nodes of the candidates that memo has scored."""
     coeffs = alpha * q * report.advantages
     if not np.any(coeffs):
         return np.zeros(params.size)
     memo = PrefixMemo(params, src, Tape()) if memo is None else _memo_for(params, src, memo)
     tape = memo.bound.tape
-    terms = []
-    for i, cand in enumerate(space.candidates):
-        if coeffs[i] == 0.0:
-            continue
-        terms.append(tape.scale(memo.logprob_node(cand), coeffs[i]))
+    if not tape.record:
+        raise DiffError("mrt_grad needs a memo on a recording tape")
+    terms = [tape.scale(memo.logprob(y), c) for y, c in zip(space.candidates, coeffs) if c]
     seed = tape.sum(tape.stack_rows(terms))
     return tape.gradient(seed, params, memo.bound.pn)
+
+
+def candidate_losses(candidates, gold, kind: metrics.LossKind, info=None) -> np.ndarray:
+    """Each candidate's loss against ``gold`` (``info``: NIST's table)."""
+    return np.array([metrics.delta(kind, cand, gold, info) for cand in candidates])
 
 
 def sentence_risk(
@@ -240,7 +247,7 @@ def sentence_risk(
     ``(space, losses, q, report)``. A given ``memo`` serves sampling and
     rescoring, and a recording one then ``mrt_grad``."""
     space = sample_space(params, src, gold, k, max_len, rng, memo=memo)
-    losses = np.array([metrics.delta(kind, cand, gold, info) for cand in space.candidates])
+    losses = candidate_losses(space.candidates, gold, kind, info)
     q = q_distribution(space, alpha)
     return space, losses, q, expected_risk(space, q, losses)
 

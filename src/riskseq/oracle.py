@@ -17,16 +17,18 @@ import numpy as np
 from . import metrics
 from .diffcore import ParamStore, RiskseqError, Tape, finite_diff_grad, relative_error
 from .model import BOS, EOS, RESERVED_TOKENS, BoundModel
-from .mrt import SampledSpace, candidate_logprobs, expected_risk, mrt_grad
-from .mrt import q_distribution, sentence_risk
+from .mrt import SampledSpace, candidate_logprobs, candidate_losses, expected_risk
+from .mrt import mrt_grad, q_distribution, sentence_risk
 
 __all__ = [
     "OracleError",
     "EnumerationBudgetError",
     "FullSpace",
+    "space_size",
     "enumerate_space",
     "exact_risk_over",
     "exact_grad_check",
+    "sampled_risk_spread",
     "ENUMERATION_BUDGET",
 ]
 
@@ -118,17 +120,6 @@ def exact_risk_over(
     return float(_q_full(space.logprobs, alpha) @ losses)
 
 
-def space_losses(
-    space_sequences: Sequence[tuple[int, ...]],
-    gold: Sequence[int],
-    kind: metrics.LossKind,
-    info=None,
-) -> np.ndarray:
-    return np.array(
-        [metrics.delta(kind, seq, gold, info) for seq in space_sequences]
-    )
-
-
 def exact_grad_check(
     params: ParamStore,
     src: Sequence[int],
@@ -145,7 +136,7 @@ def exact_grad_check(
     gold = tuple(gold)
     if gold not in full.sequences:
         raise OracleError("gold translation outside the enumerable space")
-    losses = space_losses(full.sequences, gold, kind, info)
+    losses = candidate_losses(full.sequences, gold, kind, info)
 
     sspace = SampledSpace(
         candidates=list(full.sequences),

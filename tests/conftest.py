@@ -40,7 +40,7 @@ def toy_model():
 
 # -- unmemoised references ---------------------------------------------------
 # Every target walks the decoder afresh from BOS on one recording tape, the
-# walk ``PrefixMemo.logprob_node`` must reproduce byte for byte.
+# walk ``PrefixMemo.logprob`` must reproduce byte for byte.
 
 
 def reference_logprob_nodes(bound, ann, tgt):

@@ -1,5 +1,6 @@
 """Every exported name resolves, so a deletion cannot leave a stale export,
-and every function the benchmark traces still exists under its name."""
+every public definition is exported, and every function the benchmark
+traces still exists under its name."""
 
 import importlib
 import importlib.util
@@ -23,6 +24,19 @@ def test_every_name_in_all_resolves(module_name):
     missing = [name for name in exported if not hasattr(module, name)]
     assert not missing, f"{module_name}.__all__ names missing attributes: {missing}"
     assert len(set(exported)) == len(exported), f"duplicates in {module_name}.__all__"
+
+
+@pytest.mark.parametrize("module_name", [m for m in MODULES if m != "riskseq.cli"])
+def test_all_lists_every_public_definition(module_name):
+    """Each library module's ``__all__`` names every public function and
+    class it defines; ``cli`` defines no ``__all__``."""
+    module = importlib.import_module(module_name)
+    unlisted = [
+        name for name, obj in vars(module).items()
+        if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == module_name and name not in module.__all__
+    ]
+    assert not unlisted, f"{module_name}.__all__ leaves out {unlisted}"
 
 
 def test_every_error_class_subclasses_riskseq_error():

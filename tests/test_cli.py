@@ -440,6 +440,14 @@ class TestTrainDecodeEvaluate:
         )
         assert code == 2
 
+    def test_evaluate_empty_reference_line_names_file_and_line(self, workdir, capsys):
+        (workdir / "hyp.txt").write_text("w00 w01\nw02\n")
+        (workdir / "gap.ref").write_text("w00 w01\n\n")
+        code, out, err = run(capsys, "evaluate", "--hyp", "hyp.txt", "--ref", "gap.ref")
+        assert code == 2
+        assert err == "error: gap.ref: line 2 is empty\n"
+        assert not out
+
 
 class TestConfigFile:
     def test_unknown_key_rejected(self, task_dir, workdir, capsys):
@@ -848,7 +856,14 @@ class TestValidationReferences:
 
 
 class TestSweeps:
-    def test_alpha_sweep_rows_in_input_order(self, trained, capsys):
+    def test_alpha_sweep_rows_in_input_order(self, trained, capsys, monkeypatch):
+        loads, load = [], ParamStore.load.__func__
+
+        def counted(cls, path):
+            loads.append(path)
+            return load(cls, path)
+
+        monkeypatch.setattr(ParamStore, "load", classmethod(counted))
         code, out, _ = run(
             capsys, "alpha-sweep", "--quiet",
             "--train-src", "task/train.src", "--train-tgt", "task/train.tgt",
@@ -866,6 +881,28 @@ class TestSweeps:
         assert lines[0] == "alpha,valid_bleu"
         assert lines[1].startswith("1,") or lines[1].startswith("1.0,")
         assert lines[2].startswith("0.005,")
+        assert loads == ["model.ckpt"]
+
+    @pytest.mark.parametrize(
+        "start, message",
+        [([], "error: alpha-sweep requires an initial checkpoint\n"),
+         (["--init-checkpoint", "model.ckpt"], "does not fit the model config")],
+        ids=["no-checkpoint", "other-hidden-dim"],
+    )
+    def test_alpha_sweep_start_checked_before_any_row(self, trained, capsys, start, message):
+        # the fixture trained with --hidden-dim 6
+        code, out, err = run(
+            capsys, "alpha-sweep", "--quiet",
+            "--train-src", "task/train.src", "--train-tgt", "task/train.tgt",
+            "--valid-src", "task/valid.src", "--valid-tgt", "task/valid.tgt",
+            "--src-vocab", "task/vocab.txt", "--tgt-vocab", "task/vocab.txt",
+            "--embed-dim", "4", "--hidden-dim", "4", "--attention-dim", "4",
+            "--max-len", "6", "--batch-size", "4", "--max-updates", "2",
+            "--eval-every", "2", "--k", "3", *start, "--alphas", "1.0", "0.5",
+        )
+        assert code == 2
+        assert not out
+        assert message in err
 
     def test_k_sweep_requires_init_checkpoint(self, task_dir, capsys):
         code, _, err = run(

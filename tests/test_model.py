@@ -281,7 +281,7 @@ class TestSequenceLogprob:
         total, per_word = sequence_logprob(params, src, tgt)
         bound = BoundModel(params, Tape())
         node = reference_logprob_nodes(bound, bound.encode(src), tgt)
-        memo_node = PrefixMemo(params, src, Tape()).logprob_node(tgt)
+        memo_node = PrefixMemo(params, src, Tape()).logprob(tgt)
         for n in (node, memo_node):
             picks = n.parents[0].parents  # sum <- stack_rows <- per-word picks
             assert np.float64(total).tobytes() == n.value.tobytes()

@@ -492,8 +492,8 @@ class TestOneDecoderWalk:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), k=st.integers(1, 39), alpha=st.sampled_from([5e-3, 1.0]))
     def test_repeated_mrt_grad_on_one_memo_byte_equal(self, data, k, alpha):
-        """Each call copies every step again; both calls equal the fresh
-        walk's gradient."""
+        """Both calls seed the totals sampling scored on the memo; both
+        equal the fresh walk's gradient."""
         params, vocab, seed = random_model(data.draw)
         src = data.draw(st.lists(st.integers(4, 5), min_size=1, max_size=4))
         body = data.draw(st.lists(st.integers(4, vocab - 1), min_size=1, max_size=3))
@@ -540,7 +540,7 @@ class TestOneDecoderWalk:
         assert np.float64(risk).tobytes() == np.float64(ref_risk).tobytes()
         assert grad.tobytes() == ref_grad.tobytes()
 
-    def test_every_target_is_copied(self, toy_model):
+    def test_every_target_is_scored_once(self, toy_model):
         _, params = toy_model
         memo = PrefixMemo(params, SRC, Tape())
         tape = memo.bound.tape
@@ -548,11 +548,31 @@ class TestOneDecoderWalk:
         for n in range(len(GOLD)):
             memo.next_logdist(GOLD[:n])
         chain = len(tape.nodes) - encoded
-        for _ in range(2):
-            stepped = len(tape.nodes)
-            memo.logprob_node(GOLD)
-            # a copy of every step's nodes, one pick per token, their stack and its sum
-            assert len(tape.nodes) - stepped == chain + len(GOLD) + 2
+        stepped = len(tape.nodes)
+        total = memo.logprob(GOLD)
+        # a copy of every step's nodes, one pick per token, their stack and its sum
+        assert len(tape.nodes) - stepped == chain + len(GOLD) + 2
+        scored = len(tape.nodes)
+        assert memo.logprob(list(GOLD)) is total
+        assert len(tape.nodes) == scored
+
+    @pytest.mark.parametrize("alpha", [5e-3, 1.0])
+    def test_mrt_grad_adds_only_its_seed(self, toy_model, alpha):
+        """Sampling scores every candidate on the recording memo; the
+        gradient then walks none again: one scale per nonzero coefficient,
+        their stack and its sum."""
+        _, params = toy_model
+        memo = PrefixMemo(params, SRC, Tape())
+        space = sample_space(params, SRC, GOLD, 30, 5, np.random.default_rng(3), memo=memo)
+        losses = [delta(LossKind.SMOOTHED_TER, c, GOLD) for c in space.candidates]
+        q = q_distribution(space, alpha)
+        report = expected_risk(space, q, losses)
+        nonzero = np.count_nonzero(alpha * q * report.advantages)
+        assert len(space) > 2 and nonzero > 0
+        tape = memo.bound.tape
+        sampled = len(tape.nodes)
+        mrt_grad(params, SRC, space, q, report, alpha, memo=memo)
+        assert len(tape.nodes) - sampled == nonzero + 2
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), n_pairs=st.integers(1, 4))

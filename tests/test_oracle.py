@@ -6,6 +6,7 @@ import pytest
 from conftest import noisy_params, toy_config
 from riskseq.metrics import LossKind
 from riskseq.model import EOS
+from riskseq.mrt import candidate_losses
 from riskseq.oracle import (
     EnumerationBudgetError,
     OracleError,
@@ -13,7 +14,6 @@ from riskseq.oracle import (
     exact_grad_check,
     exact_risk_over,
     sampled_risk_spread,
-    space_losses,
     space_size,
 )
 
@@ -116,7 +116,7 @@ class TestExactRisk:
         _, params = small_model(seed=4)
         gold = (4, 5, EOS)
         full = enumerate_space(params, SRC, max_len=3)
-        losses = space_losses(full.sequences, gold, LossKind.NEG_SMOOTHED_BLEU)
+        losses = candidate_losses(full.sequences, gold, LossKind.NEG_SMOOTHED_BLEU)
         risk = exact_risk_over(full, losses, alpha=5e-3)
         assert -1.0 <= risk <= 0.0
 
