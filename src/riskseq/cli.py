@@ -231,16 +231,13 @@ def cmd_decode(args) -> int:
 def cmd_evaluate(args) -> int:
     hyps = [tuple(h) for h in data.read_token_lines(args.hyp)]
     ref_files = _find_references(args.ref)
-    ref_lines = [data.read_token_lines(p) for p in ref_files]
+    ref_lines = [data.read_reference_lines(p) for p in ref_files]
     n = len(hyps)
     for path, lines in zip(ref_files, ref_lines):
         if len(lines) != n:
             raise DataError(
                 f"{path}: {len(lines)} lines but hypothesis has {n}"
             )
-        for line_no, words in enumerate(lines, 1):
-            if not words:
-                raise DataError(f"{path}: line {line_no} is empty")
     refs = [[tuple(lines[i]) for lines in ref_lines] for i in range(n)]
     bleu = metrics.corpus_bleu(hyps, refs)
     ter = metrics.corpus_ter(hyps, refs)

@@ -23,6 +23,7 @@ __all__ = [
     "gen_synthetic",
     "synthetic_vocab",
     "apply_lexicon",
+    "read_reference_lines",
     "read_token_lines",
 ]
 
@@ -107,6 +108,15 @@ def read_token_lines(path: str, model_input: bool = False) -> list[list[str]]:
     return lines
 
 
+def read_reference_lines(path: str) -> list[list[str]]:
+    """Whitespace-split reference lines, each of which must be non-empty."""
+    lines = read_token_lines(path)
+    for n, words in enumerate(lines, 1):
+        if not words:
+            raise DataError(f"{path}: line {n} is empty")
+    return lines
+
+
 def build_vocab(files: Sequence[str], max_size: int) -> Vocab:
     """Most frequent tokens kept (ties lexicographic), remainder map to UNK."""
     if max_size < len(RESERVED_TOKENS):
@@ -144,7 +154,7 @@ def load_parallel(
             f"line-count mismatch: {len(src_lines)} source lines "
             f"vs {len(tgt_lines)} target lines"
         )
-    ref_lines = [read_token_lines(path) for path in ref_files]
+    ref_lines = [read_reference_lines(path) for path in ref_files]
     for path, lines in zip(ref_files, ref_lines):
         if len(lines) != len(src_lines):
             raise DataError(

@@ -801,6 +801,16 @@ class TestValidationReferences:
         assert code == 2
         assert "reference lines" in err
 
+    def test_empty_reference_line_is_data_error(self, lex_dir, capsys):
+        ref = lex_dir / "valid.ref.0"
+        lines = ref.read_text().splitlines()
+        lines[1] = ""
+        ref.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, *self._train_argv("d/valid.ref"))
+        assert code == 2
+        assert err == "error: d/valid.ref.0: line 2 is empty\n"
+        assert not out
+
 
     @pytest.mark.parametrize(
         "command, rows",
