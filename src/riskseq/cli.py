@@ -327,14 +327,14 @@ def cmd_oracle(args) -> int:
 
 
 def _sweep_inputs(args):
-    """A sweep's inputs, its TrainConfig and its start, the init checkpoint
-    loaded and checked once. A sweep row is its best validation BLEU:
-    refuse, before any training, the settings under which no validation
-    pass runs."""
+    """A sweep's inputs, its MRT TrainConfig and its start, the init
+    checkpoint loaded and checked once, for one ``trainer.train`` per row.
+    A row is its best validation BLEU: refuse, before any training, the
+    settings under which no validation pass runs."""
     run_cfg = load_run_config(args.config) if args.config else {}
     inputs = _load_train_inputs(args, run_cfg)
     _, _, model_cfg, _, valid_corpus = inputs
-    cfg = _train_config(args, run_cfg, inputs)
+    cfg = replace(_train_config(args, run_cfg, inputs), criterion="mrt")
     if cfg.init_checkpoint is None:
         raise TrainError(f"{args.command} requires an initial checkpoint")
     params = ParamStore.load(cfg.init_checkpoint)
@@ -349,45 +349,39 @@ def _sweep_inputs(args):
     return inputs, cfg, params
 
 
-def _sweep_train(inputs, cfg: TrainConfig, initial: ParamStore):
-    """One MRT run of a sweep, on inputs loaded once per command."""
-    _, _, model_cfg, train_corpus, valid_corpus = inputs
-    cfg = replace(cfg, criterion="mrt")
-    return trainer.train(cfg, model_cfg, train_corpus, valid_corpus, initial)
-
-
 def cmd_alpha_sweep(args) -> int:
-    inputs, cfg, params = _sweep_inputs(args)
+    (_, _, model_cfg, train_corpus, valid_corpus), cfg, params = _sweep_inputs(args)
+    runs = [replace(cfg, alpha=alpha) for alpha in args.alphas]  # a bad alpha fails here
     print("alpha,valid_bleu")
-    for alpha in args.alphas:
+    for run in runs:
         try:
-            result = _sweep_train(inputs, replace(cfg, alpha=alpha), params)
-            print(f"{alpha:g},{result.best_bleu:.2f}")
+            result = trainer.train(run, model_cfg, train_corpus, valid_corpus, params)
+            print(f"{run.alpha:g},{result.best_bleu:.2f}")
         except (TrainError, MrtError, DataError) as exc:
-            log.error("alpha=%g failed: %s", alpha, exc)
-            print(f"{alpha:g},error")
+            log.error("alpha=%g failed: %s", run.alpha, exc)
+            print(f"{run.alpha:g},error")
     return 0
 
 
 def cmd_k_sweep(args) -> int:
     _check_n_seeds(args.n_seeds)
-    inputs, cfg, params = _sweep_inputs(args)
-    _, _, model_cfg, train_corpus, _ = inputs
+    (_, _, model_cfg, train_corpus, valid_corpus), cfg, params = _sweep_inputs(args)
+    runs = [replace(cfg, k=k) for k in args.ks]  # a bad k fails here
     info = metrics.info_table_for(cfg.loss_kind, [p.tgt for p in train_corpus.pairs])
     pair = train_corpus.pairs[0]
     print("k,risk_stddev,valid_bleu")
-    for k in args.ks:
+    for run in runs:
         try:
             _, std = oracle.sampled_risk_spread(
-                params, pair.src, pair.tgt, cfg.loss_kind, cfg.alpha, k,
+                params, pair.src, pair.tgt, cfg.loss_kind, cfg.alpha, run.k,
                 model_cfg.max_len, n_seeds=args.n_seeds, base_seed=cfg.seed,
                 info=info,
             )
-            result = _sweep_train(inputs, replace(cfg, k=k), params)
-            print(f"{k},{std:.6f},{result.best_bleu:.2f}")
+            result = trainer.train(run, model_cfg, train_corpus, valid_corpus, params)
+            print(f"{run.k},{std:.6f},{result.best_bleu:.2f}")
         except (TrainError, MrtError, DataError) as exc:
-            log.error("k=%d failed: %s", k, exc)
-            print(f"{k},error,error")
+            log.error("k=%d failed: %s", run.k, exc)
+            print(f"{run.k},error,error")
     return 0
 
 

@@ -21,6 +21,12 @@ Values may carry a leading axis of B independent rows (a row batch),
 (B, ...) for every B >= 1. A seed of one loss per row then gives each
 parameter one adjoint per row, each with the bits of sweeping its row
 alone.
+
+Nodes may be listed on the tape again (``model.PrefixMemo`` lists a step
+once more for each candidate through it). The sweep keys adjoints by node
+identity and drops one once its VJP has run, so each listing sweeps as a
+fresh copy would whose consumers are the nodes between it and the next
+listing of the same node; a listing nothing consumes is skipped.
 """
 
 from __future__ import annotations

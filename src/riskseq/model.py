@@ -369,10 +369,10 @@ class PrefixMemo:
     the model afresh. Sampling and scoring use the default non-recording
     tape. MRT passes a recording ``tape``; each prefix then also keeps the
     nodes its step emitted (the empty prefix, ``initial_state``'s too),
-    which ``logprob`` re-emits for every target. Beam search keeps its own
-    state rows (see ``decoder``), MLE walks row batches (see
-    ``mrt.mle_loss_and_grad``), and the oracle's enumeration its own walk as
-    an independent reference.
+    which ``logprob`` lists on the tape again for every target. Beam
+    search keeps its own state rows (see ``decoder``), MLE walks row
+    batches (see ``mrt.mle_loss_and_grad``), and the oracle's enumeration
+    its own walk as an independent reference.
     """
 
     def __init__(self, params: ParamStore, src: Sequence[int], tape: Tape | None = None):
@@ -403,21 +403,17 @@ class PrefixMemo:
     def logprob(self, tgt: Sequence[int]) -> Node:
         """log P(tgt | src), the per-token picks stacked, then summed. Any
         vocabulary id, EOS only last and not needed (truncated samples lack
-        it). A recording tape gets each prefix's nodes again, parents mapped
-        to this target's copies and annotations and parameters shared, so the
-        copies back-propagate as a fresh walk would; the memo's own step
-        nodes are never swept."""
+        it). A recording tape lists each prefix's own nodes again, so they
+        back-propagate as a fresh walk would (see ``diffcore``'s listings)."""
         tgt = tuple(tgt)
         if tgt in self._totals:
             return self._totals[tgt]
         _validate_target(tgt, self.bound.tgt_vocab_size)
-        tape, copies, picks = self.bound.tape, {}, []
+        tape, picks = self.bound.tape, []
         for n, tok in enumerate(tgt):
             self.next_logdist(tgt[:n])
             node, _, nodes = self._steps[tgt[:n]]
-            for node in nodes:  # kept only when recording; the last is the log-softmax
-                parents = tuple(map(copies.get, node.parents, node.parents))
-                copies[node] = node = tape.emit(node.value, parents, node.vjp)
+            tape.nodes.extend(nodes)  # empty unless recording
             picks.append(tape.pick(node, tok))
         self._totals[tgt] = total = tape.sum(tape.stack_rows(picks))
         return total

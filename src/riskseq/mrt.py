@@ -13,15 +13,18 @@ Sampling, rescoring and the risk gradient step the decoder through one
 per-source ``model.PrefixMemo``, so a state shared by several trajectories
 or candidates is computed once. Each candidate's log P(y|x) is one memo
 node, built once: rescoring reads its value for Q, and on a recording memo
-``mrt_grad`` seeds the same node. Spaces and gradients are bit-identical to
-stepping the model afresh for every trajectory and candidate. MLE groups
-the whole batch by shape and steps each shape's sentences as one row batch
-on one recording tape, (B, ...) for every B >= 1, with each row's loss and
-gradient bit-identical to walking it alone.
+``mrt_grad`` seeds the same node, whose chain lists the memo's own step
+nodes again rather than copies of them. Spaces and gradients are
+bit-identical to stepping the model afresh for every trajectory and
+candidate. MLE groups the whole batch by shape and steps each shape's
+sentences as one row batch on one recording tape, (B, ...) for every
+B >= 1, with each row's loss and gradient bit-identical to walking it
+alone.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -104,16 +107,15 @@ def sample_trajectories(
     if k < 1 or max_len < 1:
         raise MrtError("k and the length limit must be >= 1")
     memo = _memo_for(params, src, memo)
-    cdfs: dict[tuple[int, ...], np.ndarray] = {}  # prefix -> next token's CDF
+    cdfs: dict[tuple[int, ...], list[float]] = {}  # prefix -> next token's CDF
     out: list[tuple[int, ...]] = []
     for _ in range(k):
         prefix: tuple[int, ...] = ()
         for _ in range(max_len):
             cdf = cdfs.get(prefix)
             if cdf is None:
-                cdf = cdfs[prefix] = np.cumsum(np.exp(memo.next_logdist(prefix)))
-            tok = int(np.searchsorted(cdf, rng.random(), side="right"))
-            tok = min(tok, len(cdf) - 1)
+                cdf = cdfs[prefix] = np.cumsum(np.exp(memo.next_logdist(prefix))).tolist()
+            tok = min(bisect_right(cdf, rng.random()), len(cdf) - 1)
             prefix += (tok,)
             if tok == EOS:
                 break

@@ -6,7 +6,7 @@ import pytest
 
 from riskseq import metrics, mrt
 from riskseq.diffcore import Tape
-from riskseq.model import BOS, BoundModel, ModelConfig, PrefixMemo, init_params
+from riskseq.model import BOS, EOS, BoundModel, ModelConfig, PrefixMemo, init_params
 from riskseq.model import _checked_target, _validate_target
 
 
@@ -56,6 +56,28 @@ def reference_logprob_nodes(bound, ann, tgt):
         per_word.append(t.pick(t.log_softmax(logits), tok))
         prev = tok
     return t.sum(t.stack_rows(per_word))
+
+
+def reference_sample_trajectories(params, src, k, max_len, rng, *, memo=None):
+    """``mrt.sample_trajectories`` drawing each token with numpy: the
+    right-side ``searchsorted`` of the draw in the prefix's CDF array,
+    clamped to the last token."""
+    memo = PrefixMemo(params, src) if memo is None else memo
+    cdfs = {}
+    out = []
+    for _ in range(k):
+        prefix = ()
+        for _ in range(max_len):
+            cdf = cdfs.get(prefix)
+            if cdf is None:
+                cdf = cdfs[prefix] = np.cumsum(np.exp(memo.next_logdist(prefix)))
+            tok = int(np.searchsorted(cdf, rng.random(), side="right"))
+            tok = min(tok, len(cdf) - 1)
+            prefix += (tok,)
+            if tok == EOS:
+                break
+        out.append(prefix)
+    return out
 
 
 def reference_mrt_grad(params, src, space, q, report, alpha):

@@ -958,6 +958,37 @@ class TestSweeps:
         assert err.startswith("error: a sweep needs")
         assert not out
 
+    @pytest.mark.parametrize(
+        "command, rows, message",
+        [
+            ("alpha-sweep", ["--alphas", "0.5", "-1"], "alpha must be positive and finite"),
+            ("alpha-sweep", ["--alphas", "0.5", "0"], "alpha must be positive and finite"),
+            ("alpha-sweep", ["--alphas", "0.5", "nan"], "alpha must be positive and finite"),
+            ("alpha-sweep", ["--alphas", "0.5", "inf"], "alpha must be positive and finite"),
+            ("k-sweep", ["--ks", "3", "0"], "k must be >= 1"),
+        ],
+        ids=["alpha-negative", "alpha-zero", "alpha-nan", "alpha-inf", "k-zero"],
+    )
+    def test_sweep_rejects_a_bad_row_value_before_the_first_row(
+        self, trained, capsys, monkeypatch, command, rows, message
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a sweep with a bad row value trained a row")
+
+        monkeypatch.setattr(trainer, "train", no_training)
+        code, out, err = run(
+            capsys, command, "--quiet",
+            "--train-src", "task/train.src", "--train-tgt", "task/train.tgt",
+            "--valid-src", "task/valid.src", "--valid-tgt", "task/valid.tgt",
+            "--src-vocab", "task/vocab.txt", "--tgt-vocab", "task/vocab.txt",
+            "--embed-dim", "4", "--hidden-dim", "6", "--attention-dim", "4",
+            "--max-len", "6", "--batch-size", "4", "--max-updates", "2",
+            "--eval-every", "2", "--k", "3", "--init-checkpoint", "model.ckpt", *rows,
+        )
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+        assert not out
+
     def test_k_sweep_reports_stddev_and_bleu(self, trained, capsys):
         code, out, _ = run(
             capsys, "k-sweep", "--quiet",

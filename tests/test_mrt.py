@@ -12,6 +12,7 @@ from conftest import (
     reference_mle_loss_and_grad,
     reference_mrt_grad,
     reference_mrt_loss_and_grad,
+    reference_sample_trajectories,
     toy_config,
 )
 from riskseq.diffcore import DiffError, Tape, finite_diff_grad, relative_error
@@ -82,6 +83,50 @@ class TestSampling:
             params, SRC, 30, 5, np.random.default_rng(1)
         )
         assert all(0 <= t < cfg.tgt_vocab_size for traj in trajs for t in traj)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 40), max_len=st.integers(1, 6))
+    def test_draws_equal_numpy_searchsorted(self, data, k, max_len):
+        params, _, seed = random_model(data.draw)
+        src = data.draw(st.lists(st.integers(4, 5), min_size=1, max_size=4))
+        trajs = sample_trajectories(params, src, k, max_len, np.random.default_rng(seed))
+        expected = reference_sample_trajectories(
+            params, src, k, max_len, np.random.default_rng(seed)
+        )
+        assert trajs == expected
+
+    def test_draws_on_cdf_entries_and_past_the_last(self, toy_model):
+        """A draw equal to a CDF entry takes the token after it (after the
+        last of tied entries), and one past a last entry below 1 takes the
+        last token."""
+        _, params = toy_model
+        probs = [0.3, 0.0, 0.2, 0.25, 0.2]  # sums to 0.95
+        logdist = np.array([math.log(p) if p else -math.inf for p in probs])
+
+        class FixedMemo:
+            def __init__(self):
+                self.params, self.src = params, list(SRC)
+
+            def next_logdist(self, prefix):
+                return logdist
+
+        class ScriptedRng:
+            def __init__(self, draws):
+                self.draws = iter(draws)
+
+            def random(self):
+                return next(self.draws)
+
+        cdf = np.cumsum(np.exp(logdist)).tolist()
+        assert cdf[-1] < 1.0
+        draws = [0.0, *cdf, (cdf[-1] + 1.0) / 2]
+        trajs = sample_trajectories(
+            params, SRC, len(draws), 1, ScriptedRng(draws), memo=FixedMemo()
+        )
+        assert trajs == reference_sample_trajectories(
+            params, SRC, len(draws), 1, ScriptedRng(draws), memo=FixedMemo()
+        )
+        assert trajs == [(0,), (2,), (2,), (3,), (4,), (4,), (4,)]
 
 
 def reference_trajectories(params, src, k, max_len, rng):
@@ -547,11 +592,19 @@ class TestOneDecoderWalk:
         encoded = len(tape.nodes)
         for n in range(len(GOLD)):
             memo.next_logdist(GOLD[:n])
-        chain = len(tape.nodes) - encoded
         stepped = len(tape.nodes)
         total = memo.logprob(GOLD)
-        # a copy of every step's nodes, one pick per token, their stack and its sum
-        assert len(tape.nodes) - stepped == chain + len(GOLD) + 2
+        # every step's own nodes listed again; new are one pick per token,
+        # their stack and its sum
+        steps = tape.nodes[encoded:stepped]
+        own = {id(node) for node in steps}
+        added = tape.nodes[stepped:]
+        listed = [node for node in added if id(node) in own]
+        assert len(listed) == len(steps)
+        assert all(a is b for a, b in zip(listed, steps))
+        fresh = [node for node in added if id(node) not in own]
+        assert len(fresh) == len(GOLD) + 2 and fresh[-1] is total
+        assert not {id(node) for node in fresh} & {id(node) for node in tape.nodes[:stepped]}
         scored = len(tape.nodes)
         assert memo.logprob(list(GOLD)) is total
         assert len(tape.nodes) == scored
