@@ -8,25 +8,21 @@ inputs yields identical bits.
 
 Nodes may be fused: a caller can ``emit`` one node for a chain of
 primitives (``model`` does so for a GRU step, attention, the readout and
-the initial state). Its forward must run the numpy calls the primitives
-would, on the same operands. Its ``vjp`` must return one contribution per
-entry of ``parents`` (an input may appear more than once), in the order
-the primitives' reverse sweep would add them to that input, and must
-combine its internal adjoints in that sweep's order too. The sweep adds
-the contributions in tuple order (a copy for the first, then ``+=``), so
-a fused node then gives the same gradient bits as the primitives it stands
-for. Pre-summing two contributions to one input changes the rounding.
+the initial state, and for the decoder walks of a whole candidate set).
+Its forward must run the numpy calls the primitives would, on the same
+operands. Its ``vjp`` must return one contribution per entry of
+``parents`` (an input may appear more than once), in the order the
+primitives' reverse sweep would add them to that input, and must combine
+its internal adjoints in that sweep's order too. The sweep adds the
+contributions in tuple order (a copy for the first, then ``+=``), so a
+fused node then gives the same gradient bits as the primitives it stands
+for. Pre-summing two contributions to one input changes the rounding,
+unless they are added in the order the sweep would add them.
 
 Values may carry a leading axis of B independent rows (a row batch),
 (B, ...) for every B >= 1. A seed of one loss per row then gives each
 parameter one adjoint per row, each with the bits of sweeping its row
 alone.
-
-Nodes may be listed on the tape again (``model.PrefixMemo`` lists a step
-once more for each candidate through it). The sweep keys adjoints by node
-identity and drops one once its VJP has run, so each listing sweeps as a
-fresh copy would whose consumers are the nodes between it and the next
-listing of the same node; a listing nothing consumes is skipped.
 """
 
 from __future__ import annotations
@@ -35,6 +31,7 @@ import math
 import os
 import struct
 from contextlib import contextmanager, suppress
+from functools import partial
 from itertools import accumulate
 from typing import Callable, Sequence
 
@@ -51,6 +48,7 @@ __all__ = [
     "atomic_writer",
     "sigmoid",
     "log_softmax",
+    "log_softmax_vjp",
     "finite_diff_grad",
     "relative_error",
 ]
@@ -105,6 +103,13 @@ def log_softmax(x: np.ndarray) -> np.ndarray:
     m = np.max(x, axis=-1, keepdims=True)
     shifted = x - m
     return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+
+
+def log_softmax_vjp(sm: np.ndarray, g: np.ndarray) -> tuple[np.ndarray]:
+    """The adjoint of log_softmax's input, given its output's adjoint ``g``
+    and softmax ``sm`` of the same rows; ``Tape.log_softmax`` binds ``sm``
+    onto its node."""
+    return (g - sm * np.sum(g, axis=-1, keepdims=True),)
 
 
 class Tape:
@@ -200,10 +205,7 @@ class Tape:
         value = log_softmax(a.value)
         if not self.record:
             return self.emit(value)
-        sm = np.exp(value)
-        return self.emit(
-            value, (a,), lambda g: (g - sm * np.sum(g, axis=-1, keepdims=True),)
-        )
+        return self.emit(value, (a,), partial(log_softmax_vjp, np.exp(value)))
 
     def lookup(self, table: Node, index: int | np.ndarray) -> Node:
         """Row selection from a 2-D table (embedding lookup). A vector of B

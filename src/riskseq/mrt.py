@@ -11,15 +11,15 @@ objectives: a summed loss and gradient.
 
 Sampling, rescoring and the risk gradient step the decoder through one
 per-source ``model.PrefixMemo``, so a state shared by several trajectories
-or candidates is computed once. Each candidate's log P(y|x) is one memo
-node, built once: rescoring reads its value for Q, and on a recording memo
-``mrt_grad`` seeds the same node, whose chain lists the memo's own step
-nodes again rather than copies of them. Spaces and gradients are
-bit-identical to stepping the model afresh for every trajectory and
-candidate. MLE groups the whole batch by shape and steps each shape's
-sentences as one row batch on one recording tape, (B, ...) for every
-B >= 1, with each row's loss and gradient bit-identical to walking it
-alone.
+or candidates is computed once. Rescoring reads each candidate's log P(y|x)
+from the memo's steps, and on a recording memo ``mrt_grad`` adds one node
+for the whole candidate set, whose VJP sweeps every candidate's walk back
+through the memo's saved forward arrays, depth by depth as row batches.
+Spaces and gradients are bit-identical to stepping the model afresh for
+every trajectory and candidate. MLE groups the whole batch by shape and
+steps each shape's sentences as one row batch on one recording tape,
+(B, ...) for every B >= 1, with each row's loss and gradient bit-identical
+to walking it alone.
 """
 
 from __future__ import annotations
@@ -131,10 +131,9 @@ def candidate_logprobs(
     memo: PrefixMemo | None = None,
 ) -> np.ndarray:
     """Model log-probabilities of candidates, decoder steps shared across
-    candidates with a common prefix: the values of the memo's ``logprob``
-    nodes, which a recording memo keeps for ``mrt_grad``."""
+    candidates with a common prefix (the memo's ``logprob``)."""
     memo = _memo_for(params, src, memo)
-    return np.array([memo.logprob(cand).value for cand in candidates])
+    return np.array([memo.logprob(cand) for cand in candidates])
 
 
 def build_space(
@@ -220,8 +219,9 @@ def mrt_grad(
 ) -> np.ndarray:
     """Gradient of the sampled expected risk with the candidate set held
     fixed: alpha * sum_i w_i (loss_i - R) * grad log P(y_i | x), where the
-    baseline R is the expected risk. A given ``memo`` must record; it seeds
-    the ``logprob`` nodes of the candidates that memo has scored."""
+    baseline R is the expected risk. A given ``memo`` must record; the
+    gradient seeds one ``weighted_logprob`` node it adds for the candidates
+    with a nonzero coefficient, stepping any prefix the memo has not."""
     coeffs = alpha * q * report.advantages
     if not np.any(coeffs):
         return np.zeros(params.size)
@@ -229,8 +229,7 @@ def mrt_grad(
     tape = memo.bound.tape
     if not tape.record:
         raise DiffError("mrt_grad needs a memo on a recording tape")
-    terms = [tape.scale(memo.logprob(y), c) for y, c in zip(space.candidates, coeffs) if c]
-    seed = tape.sum(tape.stack_rows(terms))
+    seed = memo.weighted_logprob(space.candidates, coeffs)
     return tape.gradient(seed, params, memo.bound.pn)
 
 

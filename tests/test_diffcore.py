@@ -206,43 +206,6 @@ class TestBackward:
         assert grad.tobytes() != (parts[0] + (parts[1] + parts[2])).tobytes()
         assert first.tolist() == [1.0]  # the first contribution is copied
 
-    @settings(max_examples=50, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        coeffs=st.lists(
-            st.floats(-4.0, 4.0, allow_nan=False).filter(bool), min_size=2, max_size=2
-        ),
-        picks=st.lists(st.integers(0, 2), min_size=2, max_size=2),
-    )
-    def test_sub_graph_listed_again_sweeps_as_emitted_copies(self, seed, coeffs, picks):
-        """One sub-graph listed once more per consumer, each consumer with its
-        own seed, gives the parameter adjoints of emitting a copy of the
-        sub-graph for each consumer; its first listing is never swept."""
-        rng = np.random.default_rng(seed)
-        store = make_store(w=rng.normal(size=(3, 3)), v=rng.normal(size=3))
-
-        def sub_graph(tape, pn):
-            h = tape.tanh(tape.matmul(pn["w"], pn["v"]))
-            h2 = tape.sigmoid(tape.matmul(pn["w"], h))
-            return tape.log_softmax(tape.add(h2, tape.mul(h, pn["v"])))
-
-        def grad(relist):
-            tape = Tape()
-            pn = tape.params(store)
-            start = len(tape.nodes)
-            out = sub_graph(tape, pn)
-            nodes = tape.nodes[start:]
-            terms = []
-            for c, tok in zip(coeffs, picks):
-                if relist:
-                    tape.nodes.extend(nodes)
-                else:
-                    out = sub_graph(tape, pn)
-                terms.append(tape.scale(tape.pick(out, tok), c))
-            return tape.gradient(tape.sum(tape.stack_rows(terms)), store, pn)
-
-        assert grad(relist=True).tobytes() == grad(relist=False).tobytes()
-
     @pytest.mark.parametrize("node", ["gru_step", "attend", "readout"])
     def test_each_fused_node_matches_finite_differences(self, node):
         E, H, A, M = 3, 4, 2, 3

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_logprob_nodes, reference_mle_loss_and_grad
+from conftest import reference_logprob_nodes, reference_mle_loss_and_grad, reference_mrt_grad
 from riskseq.diffcore import Node, ParamStore, Tape, log_softmax
 from riskseq.model import (
     BOS,
@@ -281,13 +281,13 @@ class TestSequenceLogprob:
         total, per_word = sequence_logprob(params, src, tgt)
         bound = BoundModel(params, Tape())
         node = reference_logprob_nodes(bound, bound.encode(src), tgt)
-        memo_node = PrefixMemo(params, src, Tape()).logprob(tgt)
-        for n in (node, memo_node):
-            picks = n.parents[0].parents  # sum <- stack_rows <- per-word picks
-            assert np.float64(total).tobytes() == n.value.tobytes()
-            assert np.array(per_word).tobytes() == np.array(
-                [p.value for p in picks]
-            ).tobytes()
+        picks = node.parents[0].parents  # sum <- stack_rows <- per-word picks
+        assert np.float64(total).tobytes() == node.value.tobytes()
+        assert np.array(per_word).tobytes() == np.array(
+            [p.value for p in picks]
+        ).tobytes()
+        memo_total = PrefixMemo(params, src, Tape()).logprob(tgt)
+        assert np.float64(total).tobytes() == memo_total.tobytes()
 
     def test_logprob_changes_with_trained_projection(self, tiny):
         _, params = tiny
@@ -312,17 +312,19 @@ def forward_values(params, src, tgt, record):
     return [v.tobytes() for v in out]
 
 
-def gradient_bytes(params, src, tgt, seed):
-    # The per-op primitives step 1-D only, so the MLE gradient comes from
-    # the 1-D reference walk; test_mrt checks row batches against it.
+def gradient_bytes(params, src, tgt, seed, risk_grad=mrt_grad):
+    # The per-op primitives step 1-D only and save no forward arrays to
+    # batch, so the MLE gradient comes from the 1-D reference walk and the
+    # per-op risk gradient from ``reference_mrt_grad``; test_mrt checks the
+    # row batches against both.
     loss, grad = reference_mle_loss_and_grad(params, [(src, tgt)])
     rng = np.random.default_rng(seed)
     space = sample_space(params, src, tgt, 6, len(tgt) + 1, rng)
     q = q_distribution(space, 0.5)
     losses = rng.uniform(size=len(space.candidates))
     report = expected_risk(space, q, losses)
-    risk_grad = mrt_grad(params, src, space, q, report, 0.5)
-    return np.float64(loss).tobytes(), grad.tobytes(), risk_grad.tobytes()
+    risk = risk_grad(params, src, space, q, report, 0.5)
+    return np.float64(loss).tobytes(), grad.tobytes(), risk.tobytes()
 
 
 class TestFusedNodes:
@@ -346,7 +348,7 @@ class TestFusedNodes:
         fused_grads = gradient_bytes(params, src, tgt, seed)
         with per_op_model():
             per_op = [forward_values(params, src, tgt, record) for record in (True, False)]
-            per_op_grads = gradient_bytes(params, src, tgt, seed)
+            per_op_grads = gradient_bytes(params, src, tgt, seed, reference_mrt_grad)
         assert fused == per_op
         assert fused_grads == per_op_grads
 

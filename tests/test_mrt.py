@@ -1,5 +1,9 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -503,6 +507,42 @@ def random_model(draw):
     return noisy_params(cfg, seed, scale=1.5), vocab, seed
 
 
+def recipe_size_check() -> tuple[bool, bool]:
+    """The acceptance recipe's model sizes (E16/H32/A16, V20) with noisy
+    parameters, 2 sentences of 8-12 tokens, k = 100 and TER: whether
+    ``mrt_loss_and_grad`` equals ``reference_mrt_loss_and_grad``, and
+    whether each sentence's ``mrt_grad`` equals ``reference_mrt_grad``, byte
+    for byte."""
+    cfg = ModelConfig(20, 20, embed_dim=16, hidden_dim=32, attention_dim=16, max_len=20)
+    params = noisy_params(cfg, seed=12)
+    rng = np.random.default_rng(12)
+    batch = [
+        (rng.integers(4, 20, size=n).tolist(), tuple(rng.integers(4, 20, size=n)) + (EOS,))
+        for n in (8, 12)
+    ]
+    kind, alpha, k, max_len = LossKind.SMOOTHED_TER, 5e-3, 100, 20
+
+    def rngs():
+        return [np.random.default_rng([7, i]) for i in range(len(batch))]
+
+    risk, grad = mrt_loss_and_grad(params, batch, kind, alpha, k, max_len, rngs())
+    ref_risk, ref_grad = reference_mrt_loss_and_grad(
+        params, batch, kind, alpha, k, max_len, rngs()
+    )
+    same_batch = (np.float64(risk).tobytes() == np.float64(ref_risk).tobytes()
+                  and grad.tobytes() == ref_grad.tobytes())
+    same_sentences = True
+    for (src, gold), sentence_rng in zip(batch, rngs()):
+        memo = PrefixMemo(params, src, Tape())
+        space, _, q, report = sentence_risk(
+            params, src, gold, kind, alpha, k, max_len, sentence_rng, memo=memo
+        )
+        got = mrt_grad(params, src, space, q, report, alpha, memo=memo)
+        want = reference_mrt_grad(params, src, space, q, report, alpha)
+        same_sentences &= len(space) > 20 and got.tobytes() == want.tobytes()
+    return same_batch, same_sentences
+
+
 class TestOneDecoderWalk:
     """MRT steps the decoder through the prefix memo and MLE through row
     batches; their gradients equal the unmemoised walk's byte for byte."""
@@ -537,8 +577,8 @@ class TestOneDecoderWalk:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), k=st.integers(1, 39), alpha=st.sampled_from([5e-3, 1.0]))
     def test_repeated_mrt_grad_on_one_memo_byte_equal(self, data, k, alpha):
-        """Both calls seed the totals sampling scored on the memo; both
-        equal the fresh walk's gradient."""
+        """Both calls sweep the steps sampling took on the memo; both equal
+        the fresh walk's gradient."""
         params, vocab, seed = random_model(data.draw)
         src = data.draw(st.lists(st.integers(4, 5), min_size=1, max_size=4))
         body = data.draw(st.lists(st.integers(4, vocab - 1), min_size=1, max_size=3))
@@ -586,46 +626,111 @@ class TestOneDecoderWalk:
         assert grad.tobytes() == ref_grad.tobytes()
 
     def test_every_target_is_scored_once(self, toy_model):
+        """Scoring reads the memo's steps: ``logprob`` adds no node to the
+        tape, and a target's prefixes are stepped once however often it is
+        scored."""
         _, params = toy_model
         memo = PrefixMemo(params, SRC, Tape())
         tape = memo.bound.tape
-        encoded = len(tape.nodes)
         for n in range(len(GOLD)):
             memo.next_logdist(GOLD[:n])
         stepped = len(tape.nodes)
         total = memo.logprob(GOLD)
-        # every step's own nodes listed again; new are one pick per token,
-        # their stack and its sum
-        steps = tape.nodes[encoded:stepped]
-        own = {id(node) for node in steps}
-        added = tape.nodes[stepped:]
-        listed = [node for node in added if id(node) in own]
-        assert len(listed) == len(steps)
-        assert all(a is b for a, b in zip(listed, steps))
-        fresh = [node for node in added if id(node) not in own]
-        assert len(fresh) == len(GOLD) + 2 and fresh[-1] is total
-        assert not {id(node) for node in fresh} & {id(node) for node in tape.nodes[:stepped]}
-        scored = len(tape.nodes)
-        assert memo.logprob(list(GOLD)) is total
-        assert len(tape.nodes) == scored
+        assert len(tape.nodes) == stepped
+        assert memo.logprob(list(GOLD)).tobytes() == total.tobytes()
+        assert len(tape.nodes) == stepped
+        bound = BoundModel(params, Tape())
+        expected = reference_logprob_nodes(bound, bound.encode(SRC), GOLD).value
+        assert total.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("alpha", [5e-3, 1.0])
     def test_mrt_grad_adds_only_its_seed(self, toy_model, alpha):
-        """Sampling scores every candidate on the recording memo; the
-        gradient then walks none again: one scale per nonzero coefficient,
-        their stack and its sum."""
+        """Sampling steps every candidate on the recording memo; the
+        gradient then adds one node for the whole candidate set, whose
+        parents are the decoder's parameters and the annotations."""
         _, params = toy_model
         memo = PrefixMemo(params, SRC, Tape())
         space = sample_space(params, SRC, GOLD, 30, 5, np.random.default_rng(3), memo=memo)
         losses = [delta(LossKind.SMOOTHED_TER, c, GOLD) for c in space.candidates]
         q = q_distribution(space, alpha)
         report = expected_risk(space, q, losses)
-        nonzero = np.count_nonzero(alpha * q * report.advantages)
-        assert len(space) > 2 and nonzero > 0
+        assert len(space) > 2 and np.count_nonzero(alpha * q * report.advantages) > 0
         tape = memo.bound.tape
         sampled = len(tape.nodes)
         mrt_grad(params, SRC, space, q, report, alpha, memo=memo)
-        assert len(tape.nodes) - sampled == nonzero + 2
+        (node,) = tape.nodes[sampled:]
+        pn, ann = memo.bound.pn, memo.ann
+        decoder = {name for name in pn if not name.startswith(("enc_", "src_", "attn_U"))}
+        assert {id(p) for p in node.parents} == (
+            {id(pn[name]) for name in decoder}
+            | {id(ann.matrix), id(ann.attn_proj), id(ann.bwd_first)}
+        )
+        assert len(node.parents) == len(decoder) + 3
+        with pytest.raises(ModelError, match="no target with a nonzero coefficient"):
+            memo.weighted_logprob(space.candidates, np.zeros(len(space)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), alpha=st.sampled_from([5e-3, 0.3, 1.0]))
+    def test_ragged_candidate_sets_byte_equal_to_reference(self, data, alpha):
+        """Candidate sets built directly: 1-12 tokens, prefixes shared or
+        not, some truncated without EOS, and some coefficients exactly 0
+        through zeroed advantages. The memo may have scored some candidates
+        first, in any order, or none; repeating the gradient on the memo
+        keeps its bits."""
+        params, vocab, seed = random_model(data.draw)
+        src = data.draw(st.lists(st.integers(4, 5), min_size=1, max_size=4))
+        words = st.integers(0, vocab - 1).filter(lambda tok: tok != EOS)
+        candidates: list[tuple[int, ...]] = []
+        for _ in range(data.draw(st.integers(1, 12))):
+            stem = ()
+            if candidates and data.draw(st.booleans()):
+                shared = data.draw(st.sampled_from(candidates))
+                stem = shared[: data.draw(st.integers(0, len(shared)))]
+                stem = stem[:-1] if stem and stem[-1] == EOS else stem
+            length = data.draw(st.integers(max(1, len(stem)), 12))
+            body = stem + tuple(data.draw(
+                st.lists(words, min_size=length - len(stem), max_size=length - len(stem))
+            ))
+            cand = body[:-1] + (EOS,) if data.draw(st.booleans()) else body
+            if cand not in candidates:
+                candidates.append(cand)
+        logprobs = candidate_logprobs(params, src, candidates)
+        space = SampledSpace(candidates, 0, len(candidates), 12, logprobs)
+        q = q_distribution(space, alpha)
+        losses = np.array(data.draw(st.lists(
+            st.floats(0.0, 1.0), min_size=len(candidates), max_size=len(candidates)
+        )))
+        report = expected_risk(space, q, losses)
+        zeroed = data.draw(st.lists(st.booleans(), min_size=len(candidates),
+                                    max_size=len(candidates)))
+        report.advantages[np.array(zeroed)] = 0.0
+        memo = PrefixMemo(params, src, Tape())
+        shuffled = data.draw(st.permutations(candidates))
+        scored = shuffled[: data.draw(st.integers(0, len(candidates)))]
+        candidate_logprobs(params, src, scored, memo=memo)
+        expected = reference_mrt_grad(params, src, space, q, report, alpha).tobytes()
+        for _ in range(2):
+            assert mrt_grad(params, src, space, q, report, alpha, memo=memo).tobytes() == expected
+
+    def test_recipe_size_batch_byte_equal_to_reference(self):
+        assert recipe_size_check() == (True, True)
+
+    def test_recipe_size_batch_byte_equal_with_two_blas_threads(self):
+        # On a 1-CPU machine OpenBLAS caps itself at one thread, so this
+        # passes there without discriminating.
+        tests_dir = Path(__file__).resolve().parent
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(tests_dir.parent / "src"), str(tests_dir),
+                        os.environ.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", "from test_mrt import recipe_size_check\n"
+             "print(*recipe_size_check())"],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "True"]
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), n_pairs=st.integers(1, 4))

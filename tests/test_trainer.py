@@ -276,9 +276,11 @@ class TestGradientLifetime:
 # Trains the acceptance recipe's MLE config for 60 updates, then 3 MRT
 # updates at k=20, and writes the final parameter bytes to stdout. With the
 # argument "per-op" the model steps through the per-op reference of
-# tests/test_model.py instead of its fused nodes, and MLE walks each
-# sentence alone (conftest's reference) instead of in row batches, which
-# the 1-D primitives cannot step.
+# tests/test_model.py instead of its fused nodes, MLE walks each sentence
+# alone instead of in row batches, which the 1-D primitives cannot step,
+# and the risk gradient walks each candidate afresh instead of batching
+# the memo's saved forward arrays, which per-op nodes do not keep (both
+# references from conftest).
 _RECIPE_SCRIPT = """
 import sys
 from riskseq.data import gen_synthetic
@@ -289,10 +291,12 @@ from test_acceptance import (LEXICON_DATA_SEED, LEXICON_LEN_RANGE,
 
 if sys.argv[1:] == ["per-op"]:
     from unittest import mock
-    from conftest import reference_mle_loss_and_grad
+    from conftest import reference_mle_loss_and_grad, reference_mrt_grad
     from test_model import per_op_model
     per_op_model().start()
     mock.patch("riskseq.mrt.mle_loss_and_grad", reference_mle_loss_and_grad).start()
+    mock.patch("riskseq.mrt.mrt_grad",
+               lambda *args, memo: reference_mrt_grad(*args)).start()
 train_c, _, _ = gen_synthetic("lexicon", LEXICON_VOCAB, LEXICON_PAIRS,
                               LEXICON_LEN_RANGE, seed=LEXICON_DATA_SEED)
 model_cfg = ModelConfig(**RECIPE_MODEL)
