@@ -21,9 +21,7 @@ from .data import Corpus, DataError, Vocab
 from .decoder import DEFAULT_BEAM, decode_corpus
 from .diffcore import ParamStore, RiskseqError, atomic_writer
 from .metrics import LossKind
-from .model import EOS, ModelConfig, check_params, init_params
-from .model import check_vocabs, load_model, save_model
-from .mrt import MrtError
+from .model import EOS, ModelConfig, check_params, init_params, load_model, save_model
 from .trainer import TrainConfig, TrainError
 
 log = logging.getLogger("riskseq")
@@ -31,7 +29,8 @@ log = logging.getLogger("riskseq")
 USAGE_EXIT = 1
 DATA_EXIT = 2
 
-MODEL_KEYS = {f.name for f in fields(ModelConfig)}
+# the vocab sizes come from the vocab files, so a run config cannot set them
+MODEL_KEYS = {f.name for f in fields(ModelConfig)} - {"src_vocab_size", "tgt_vocab_size"}
 TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
 
 
@@ -45,8 +44,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def load_run_config(path: str) -> dict:
-    """JSON config mirroring ModelConfig + TrainConfig keys. Unknown keys
-    are rejected before any work starts."""
+    """JSON config mirroring ModelConfig (except the vocab sizes) and
+    TrainConfig keys. Unknown keys are rejected before any work starts."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -141,12 +140,17 @@ def cmd_build_vocab(args) -> int:
     return 0
 
 
-def _load_train_inputs(args, run_cfg: dict):
+def _load_train_inputs(args):
+    """What train, alpha-sweep and k-sweep read: ``(src_vocab, tgt_vocab,
+    model_cfg, train_corpus, valid_corpus, cfg, start)``. ``start`` is the
+    init checkpoint, read as ``decode`` reads a checkpoint (sidecar required,
+    vocabs checked against it), or None."""
+    run_cfg = load_run_config(args.config) if args.config else {}
     src_vocab = Vocab.load(args.src_vocab)
     tgt_vocab = Vocab.load(args.tgt_vocab)
-    model_kwargs = _merged(run_cfg, args, MODEL_KEYS - {"src_vocab_size", "tgt_vocab_size"})
     model_cfg = ModelConfig(
-        src_vocab_size=src_vocab.size, tgt_vocab_size=tgt_vocab.size, **model_kwargs
+        src_vocab_size=src_vocab.size, tgt_vocab_size=tgt_vocab.size,
+        **_merged(run_cfg, args, MODEL_KEYS),
     )
     train_corpus = data.load_parallel(
         args.train_src, args.train_tgt, src_vocab, tgt_vocab,
@@ -165,17 +169,11 @@ def _load_train_inputs(args, run_cfg: dict):
                 f"no {split} pair fits max_len={model_cfg.max_len} "
                 f"({corpus.filtered_count} over length)"
             )
-    return src_vocab, tgt_vocab, model_cfg, train_corpus, valid_corpus
-
-
-def _train_config(args, run_cfg: dict, inputs) -> TrainConfig:
-    """The run's TrainConfig. An init checkpoint whose sidecar records vocab
-    hashes must have been trained with the run's vocabs."""
     cfg = TrainConfig(**_merged(run_cfg, args, TRAIN_KEYS))
+    start = None
     if cfg.init_checkpoint is not None:
-        src_vocab, tgt_vocab = inputs[:2]
-        check_vocabs(cfg.init_checkpoint, (src_vocab.tokens, tgt_vocab.tokens))
-    return cfg
+        start, _ = load_model(cfg.init_checkpoint, (src_vocab.tokens, tgt_vocab.tokens))
+    return src_vocab, tgt_vocab, model_cfg, train_corpus, valid_corpus, cfg, start
 
 
 def cmd_train(args) -> int:
@@ -184,14 +182,13 @@ def cmd_train(args) -> int:
     for flag, path in outputs.items():
         if path and not os.path.isdir(os.path.dirname(path) or "."):
             raise DataError(f"{flag} {path}: no such directory")
-    run_cfg = load_run_config(args.config) if args.config else {}
-    inputs = _load_train_inputs(args, run_cfg)
-    src_vocab, tgt_vocab, model_cfg, train_corpus, valid_corpus = inputs
-    cfg = _train_config(args, run_cfg, inputs)
+    src_vocab, tgt_vocab, model_cfg, train_corpus, valid_corpus, cfg, start = (
+        _load_train_inputs(args)
+    )
     _log_config_header(
         {"model": model_cfg.to_dict(), "train": {**cfg.__dict__, "loss_kind": cfg.loss_kind.value}}
     )
-    result = trainer.train(cfg, model_cfg, train_corpus, valid_corpus)
+    result = trainer.train(cfg, model_cfg, train_corpus, valid_corpus, start)
     save_model(
         result.best_params, model_cfg, args.checkpoint_out,
         (src_vocab.tokens, tgt_vocab.tokens),
@@ -327,18 +324,14 @@ def cmd_oracle(args) -> int:
 
 
 def _sweep_inputs(args):
-    """A sweep's inputs, its MRT TrainConfig and its start, the init
-    checkpoint loaded and checked once, for one ``trainer.train`` per row.
-    A row is its best validation BLEU: refuse, before any training, the
-    settings under which no validation pass runs."""
-    run_cfg = load_run_config(args.config) if args.config else {}
-    inputs = _load_train_inputs(args, run_cfg)
-    _, _, model_cfg, _, valid_corpus = inputs
-    cfg = replace(_train_config(args, run_cfg, inputs), criterion="mrt")
-    if cfg.init_checkpoint is None:
+    """A sweep's inputs, with an MRT TrainConfig and the init checkpoint as
+    the start of every row. A row is its best validation BLEU: refuse,
+    before any training, the settings under which no validation pass runs."""
+    _, _, model_cfg, train_corpus, valid_corpus, cfg, start = _load_train_inputs(args)
+    cfg = replace(cfg, criterion="mrt")
+    if start is None:
         raise TrainError(f"{args.command} requires an initial checkpoint")
-    params = ParamStore.load(cfg.init_checkpoint)
-    check_params(params, model_cfg)
+    check_params(start, model_cfg)  # as trainer.train does, but before the header line
     if valid_corpus is None:
         raise DataError("a sweep needs --valid-src and --valid-tgt")
     if not 0 < cfg.eval_every <= cfg.max_updates:
@@ -346,18 +339,18 @@ def _sweep_inputs(args):
             f"a sweep needs 0 < eval_every <= max_updates, got eval_every "
             f"{cfg.eval_every} and max_updates {cfg.max_updates}"
         )
-    return inputs, cfg, params
+    return model_cfg, train_corpus, valid_corpus, cfg, start
 
 
 def cmd_alpha_sweep(args) -> int:
-    (_, _, model_cfg, train_corpus, valid_corpus), cfg, params = _sweep_inputs(args)
+    model_cfg, train_corpus, valid_corpus, cfg, start = _sweep_inputs(args)
     runs = [replace(cfg, alpha=alpha) for alpha in args.alphas]  # a bad alpha fails here
     print("alpha,valid_bleu")
     for run in runs:
         try:
-            result = trainer.train(run, model_cfg, train_corpus, valid_corpus, params)
+            result = trainer.train(run, model_cfg, train_corpus, valid_corpus, start)
             print(f"{run.alpha:g},{result.best_bleu:.2f}")
-        except (TrainError, MrtError, DataError) as exc:
+        except RiskseqError as exc:
             log.error("alpha=%g failed: %s", run.alpha, exc)
             print(f"{run.alpha:g},error")
     return 0
@@ -365,7 +358,7 @@ def cmd_alpha_sweep(args) -> int:
 
 def cmd_k_sweep(args) -> int:
     _check_n_seeds(args.n_seeds)
-    (_, _, model_cfg, train_corpus, valid_corpus), cfg, params = _sweep_inputs(args)
+    model_cfg, train_corpus, valid_corpus, cfg, start = _sweep_inputs(args)
     runs = [replace(cfg, k=k) for k in args.ks]  # a bad k fails here
     info = metrics.info_table_for(cfg.loss_kind, [p.tgt for p in train_corpus.pairs])
     pair = train_corpus.pairs[0]
@@ -373,13 +366,13 @@ def cmd_k_sweep(args) -> int:
     for run in runs:
         try:
             _, std = oracle.sampled_risk_spread(
-                params, pair.src, pair.tgt, cfg.loss_kind, cfg.alpha, run.k,
+                start, pair.src, pair.tgt, cfg.loss_kind, cfg.alpha, run.k,
                 model_cfg.max_len, n_seeds=args.n_seeds, base_seed=cfg.seed,
                 info=info,
             )
-            result = trainer.train(run, model_cfg, train_corpus, valid_corpus, params)
+            result = trainer.train(run, model_cfg, train_corpus, valid_corpus, start)
             print(f"{run.k},{std:.6f},{result.best_bleu:.2f}")
-        except (TrainError, MrtError, DataError) as exc:
+        except RiskseqError as exc:
             log.error("k=%d failed: %s", run.k, exc)
             print(f"{run.k},error,error")
     return 0

@@ -30,7 +30,6 @@ module-level function of the arrays its forward saved.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import MISSING, asdict, dataclass, fields
 from functools import partial
 from typing import Sequence
@@ -56,7 +55,6 @@ __all__ = [
     "sequence_logprob",
     "save_model",
     "load_model",
-    "check_vocabs",
 ]
 
 PAD = 0
@@ -675,18 +673,6 @@ def _read_sidecar(path: str) -> tuple[ModelConfig, dict[str, str]]:
     return ModelConfig.from_dict(d), recorded
 
 
-def _check_hashes(recorded: dict[str, str], vocabs: Vocabs) -> None:
-    if not recorded:
-        return
-    given = _vocab_hashes(vocabs)
-    for key, side in zip(VOCAB_KEYS, ("source", "target")):
-        if key in recorded and recorded[key] != given[key]:
-            raise ModelError(
-                f"{side} vocab is not the one the checkpoint was trained "
-                f"with: its token list has another sha256"
-            )
-
-
 def load_model(path: str, vocabs: Vocabs | None = None) -> tuple[ParamStore, ModelConfig]:
     """Checkpoint and sidecar config; raises ModelError if they disagree,
     or if ``vocabs`` (source, target token lists) do not fit the checkpoint:
@@ -702,13 +688,12 @@ def load_model(path: str, vocabs: Vocabs | None = None) -> tuple[ParamStore, Mod
                 f"vocab sizes {sizes[0]}/{sizes[1]} (source/target) do "
                 f"not match the checkpoint's {want[0]}/{want[1]}"
             )
-        _check_hashes(recorded, vocabs)
+        given = _vocab_hashes(vocabs) if recorded else {}
+        for key, side in zip(VOCAB_KEYS, ("source", "target")):
+            if key in recorded and recorded[key] != given[key]:
+                raise ModelError(
+                    f"{side} vocab is not the one the checkpoint was trained "
+                    f"with: its token list has another sha256"
+                )
     return params, cfg
 
-
-def check_vocabs(path: str, vocabs: Vocabs) -> None:
-    """Raise ModelError if the sidecar of the checkpoint at ``path`` records
-    vocab hashes other than those of ``vocabs``. A checkpoint without a
-    sidecar, or a sidecar without hashes, passes."""
-    if os.path.exists(path + ".json"):
-        _check_hashes(_read_sidecar(path)[1], vocabs)

@@ -17,7 +17,7 @@ import numpy as np
 from . import metrics
 from .diffcore import ParamStore, RiskseqError, Tape, finite_diff_grad, relative_error
 from .model import BOS, EOS, RESERVED_TOKENS, BoundModel
-from .mrt import SampledSpace, candidate_logprobs, candidate_losses, expected_risk
+from .mrt import build_space, candidate_logprobs, candidate_losses, expected_risk
 from .mrt import mrt_grad, q_distribution, sentence_risk
 
 __all__ = [
@@ -136,23 +136,13 @@ def exact_grad_check(
     gold = tuple(gold)
     if gold not in full.sequences:
         raise OracleError("gold translation outside the enumerable space")
-    losses = candidate_losses(full.sequences, gold, kind, info)
-
-    sspace = SampledSpace(
-        candidates=list(full.sequences),
-        gold_index=full.sequences.index(gold),
-        k_requested=len(full.sequences),
-        max_len=max_len,
-        logprobs=full.logprobs.copy(),
-    )
-    q = q_distribution(sspace, alpha)
-    report = expected_risk(sspace, q, losses)
-    analytic = mrt_grad(params, src, sspace, q, report, alpha)
-
-    candidates = sspace.candidates
+    space = build_space(params, src, gold, full.sequences, len(full.sequences), max_len)
+    losses = candidate_losses(space.candidates, gold, kind, info)
+    q = q_distribution(space, alpha)
+    analytic = mrt_grad(params, src, space, q, expected_risk(space, q, losses), alpha)
 
     def objective(store: ParamStore) -> float:
-        lp = candidate_logprobs(store, src, candidates)
+        lp = candidate_logprobs(store, src, space.candidates)
         return float(_q_full(lp, alpha) @ losses)
 
     numeric = finite_diff_grad(objective, params)

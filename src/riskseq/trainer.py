@@ -6,7 +6,11 @@ corpus BLEU is retained. Each update steps with the batch mean of one
 ``mrt`` objective, ``mle_loss_and_grad`` or ``mrt_loss_and_grad``.
 Minimum risk fine-tuning always starts from given parameters (``initial``
 or ``init_checkpoint``); for a random start, save the parameters of a
-maximum likelihood run of 0 updates.
+maximum likelihood run of 0 updates. Every given start is checked against
+the model config (``model.check_params``) before the first update, so
+parameters of another shape raise ``ModelError``. ``init_checkpoint`` is
+read here without its sidecar; the CLI reads it with ``load_model`` and
+passes it as ``initial``.
 
 The global gradient norm is a numpy pairwise sum, not ``np.linalg.norm``.
 For a long 1-D array the latter is a BLAS dot product, which multi-threaded
@@ -138,14 +142,14 @@ def train(
     if valid_corpus is not None and not valid_corpus.pairs:
         # corpus BLEU of nothing is 0.0: every validation would tie at 0.0
         raise TrainError("empty validation corpus")
-    if initial is None:
-        if cfg.init_checkpoint is not None:
-            initial = ParamStore.load(cfg.init_checkpoint)
-            check_params(initial, model_cfg)
-        elif cfg.criterion == "mrt":
-            raise TrainError("minimum risk training requires an initial checkpoint")
-        else:
-            initial = init_params(model_cfg, cfg.seed)
+    if initial is None and cfg.init_checkpoint is not None:
+        initial = ParamStore.load(cfg.init_checkpoint)
+    if initial is not None:
+        check_params(initial, model_cfg)
+    elif cfg.criterion == "mrt":
+        raise TrainError("minimum risk training requires an initial checkpoint")
+    else:
+        initial = init_params(model_cfg, cfg.seed)
     params = initial.copy()
 
     info = None  # the NIST loss's table; MLE needs none

@@ -9,7 +9,7 @@ from riskseq.cli import _load_train_inputs, build_parser, main
 from riskseq.data import Vocab, read_token_lines
 from riskseq.decoder import beam_decode
 from riskseq.diffcore import ParamStore
-from riskseq.model import EOS, load_model
+from riskseq.model import EOS, ModelError, load_model
 
 
 def run(capsys, *argv):
@@ -126,6 +126,7 @@ class TestBadRunSettings:
          {"embed_dim": 2.5}, {"seed": "a"}, {"loss_kind": 5}, {"k": 2.0},
          {"max_updates": True}, {"init_checkpoint": 5},
          {"allow_random_init": "no"},  # not a key
+         {"src_vocab_size": 7}, {"tgt_vocab_size": 99},  # set by the vocab files
          {"grad_clip_norm": math.nan}, {"alpha": math.inf}],
         ids=lambda setting: next(iter(setting)),
     )
@@ -493,7 +494,7 @@ class TestConfigFile:
 
 
 class TestInitCheckpointMismatch:
-    def _train_from(self, capsys, checkpoint, hidden_dim, command="train"):
+    def _train_from(self, capsys, checkpoint, hidden_dim, command="train", *flags):
         out = (["--checkpoint-out", "out.ckpt"] if command == "train"
                else ["--ks", "2"])
         return run(
@@ -502,7 +503,7 @@ class TestInitCheckpointMismatch:
             "--src-vocab", "task/vocab.txt", "--tgt-vocab", "task/vocab.txt",
             "--embed-dim", "4", "--hidden-dim", hidden_dim,
             "--attention-dim", "4", "--max-len", "6", "--batch-size", "4",
-            "--max-updates", "1", "--init-checkpoint", checkpoint, *out,
+            "--max-updates", "1", "--init-checkpoint", checkpoint, *out, *flags,
         )
 
     def test_missing_tensor_is_data_error(self, trained, workdir, capsys):
@@ -512,6 +513,8 @@ class TestInitCheckpointMismatch:
             if name != "dec_init_b":
                 partial.add(name, arr)
         partial.save("partial.ckpt")
+        # the full model's sidecar: --init-checkpoint requires one
+        (workdir / "partial.ckpt.json").write_bytes((workdir / "model.ckpt.json").read_bytes())
         code, _, err = self._train_from(capsys, "partial.ckpt", "6")
         assert code == 2
         assert "dec_init_b" in err
@@ -525,6 +528,20 @@ class TestInitCheckpointMismatch:
         assert code == 2
         assert not out
         assert "does not fit the model config" in err
+        assert not os.path.exists("out.ckpt")
+
+    @pytest.mark.parametrize("command", ["train", "k-sweep"])
+    def test_checkpoint_without_sidecar_is_data_error(self, trained, workdir, capsys,
+                                                      command):
+        # --init-checkpoint is read as decode reads --checkpoint
+        os.remove("model.ckpt.json")
+        code, out, err = self._train_from(
+            capsys, "model.ckpt", "6", command, "--criterion", "mrt",
+            "--valid-src", "task/valid.src", "--valid-tgt", "task/valid.tgt",
+            "--eval-every", "1",
+        )
+        _one_line_data_error(code, out, err)
+        assert "model.ckpt.json" in err
         assert not os.path.exists("out.ckpt")
 
 
@@ -777,7 +794,7 @@ class TestValidationReferences:
 
     def _valid_corpus(self, valid_ref):
         args = build_parser().parse_args(self._train_argv(valid_ref))
-        return _load_train_inputs(args, {})[4]
+        return _load_train_inputs(args)[4]
 
     def test_multi_file_references_follow_kept_pairs(self, lex_dir):
         valid = self._valid_corpus("d/valid.ref")
@@ -913,6 +930,36 @@ class TestSweeps:
         assert code == 2
         assert not out
         assert message in err
+
+    @pytest.mark.parametrize(
+        "command, rows, failed",
+        [("alpha-sweep", ["--alphas", "1.0", "0.5"], "0.5,error"),
+         ("k-sweep", ["--ks", "2", "3", "--n-seeds", "2"], "3,error,error")],
+    )
+    def test_row_error_is_reported_in_its_row(self, trained, capsys, caplog,
+                                              monkeypatch, command, rows, failed):
+        calls, real_train = [], trainer.train
+
+        def second_row_fails(*args, **kwargs):
+            calls.append(args[0])
+            if len(calls) == 2:
+                raise ModelError("a row that fails")
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "train", second_row_fails)
+        code, out, _ = run(
+            capsys, command, "--quiet",
+            "--train-src", "task/train.src", "--train-tgt", "task/train.tgt",
+            "--valid-src", "task/valid.src", "--valid-tgt", "task/valid.tgt",
+            "--src-vocab", "task/vocab.txt", "--tgt-vocab", "task/vocab.txt",
+            "--embed-dim", "4", "--hidden-dim", "6", "--attention-dim", "4",
+            "--max-len", "6", "--batch-size", "4", "--max-updates", "2",
+            "--eval-every", "2", "--k", "3", "--init-checkpoint", "model.ckpt", *rows,
+        )
+        assert code == 0
+        _, first, second = out.splitlines()
+        assert "error" not in first and second == failed
+        assert "failed: a row that fails" in caplog.text
 
     def test_k_sweep_requires_init_checkpoint(self, task_dir, capsys):
         code, _, err = run(

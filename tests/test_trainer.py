@@ -11,7 +11,7 @@ from conftest import noisy_params, toy_config
 from riskseq import mrt, trainer
 from riskseq.data import Corpus, SentencePair
 from riskseq.metrics import LossKind
-from riskseq.model import EOS, BoundModel, init_params
+from riskseq.model import EOS, BoundModel, ModelError, init_params
 from riskseq.mrt import mle_loss_and_grad
 from riskseq.trainer import (
     CurvePoint,
@@ -182,6 +182,25 @@ class TestTrainMrt:
         res = train(tc, cfg, tiny_corpus(n=4), None)
         # zero learning rate: params must equal the loaded checkpoint
         np.testing.assert_array_equal(res.final_params.flat(), start.flat())
+
+    @pytest.mark.parametrize("criterion", ["mle", "mrt"])
+    @pytest.mark.parametrize("given", ["initial", "init_checkpoint"])
+    def test_start_that_does_not_fit_is_model_error(self, tmp_path, monkeypatch,
+                                                    criterion, given):
+        def no_update(*args, **kwargs):
+            raise AssertionError("updated from a start that does not fit")
+
+        monkeypatch.setattr(mrt, "mle_loss_and_grad", no_update)
+        monkeypatch.setattr(mrt, "mrt_loss_and_grad", no_update)
+        start = noisy_params(toy_config(hidden_dim=5), seed=1)
+        path = str(tmp_path / "init.ckpt")
+        start.save(path)
+        tc = TrainConfig(criterion=criterion, batch_size=2, max_updates=1,
+                         eval_every=0, k=5,
+                         init_checkpoint=path if given == "init_checkpoint" else None)
+        with pytest.raises(ModelError, match="does not fit the model config"):
+            train(tc, toy_config(hidden_dim=4), tiny_corpus(n=4), None,
+                  start if given == "initial" else None)
 
     def test_deterministic_with_single_worker(self):
         cfg = toy_config()
