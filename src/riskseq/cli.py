@@ -31,7 +31,7 @@ DATA_EXIT = 2
 
 # the vocab sizes come from the vocab files, so a run config cannot set them
 MODEL_KEYS = {f.name for f in fields(ModelConfig)} - {"src_vocab_size", "tgt_vocab_size"}
-TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
+TRAIN_KEYS = {f.name for f in fields(TrainConfig)} | {"init_checkpoint"}  # a CLI setting
 
 
 class UsageError(Exception):
@@ -142,9 +142,9 @@ def cmd_build_vocab(args) -> int:
 
 def _load_train_inputs(args):
     """What train, alpha-sweep and k-sweep read: ``(src_vocab, tgt_vocab,
-    model_cfg, train_corpus, valid_corpus, cfg, start)``. ``start`` is the
-    init checkpoint, read as ``decode`` reads a checkpoint (sidecar required,
-    vocabs checked against it), or None."""
+    model_cfg, train_corpus, valid_corpus, cfg, init_checkpoint, start)``.
+    ``start`` is the checkpoint at that path, read as ``decode`` reads one
+    (sidecar required, vocabs checked against it), or None."""
     run_cfg = load_run_config(args.config) if args.config else {}
     src_vocab = Vocab.load(args.src_vocab)
     tgt_vocab = Vocab.load(args.tgt_vocab)
@@ -169,11 +169,15 @@ def _load_train_inputs(args):
                 f"no {split} pair fits max_len={model_cfg.max_len} "
                 f"({corpus.filtered_count} over length)"
             )
-    cfg = TrainConfig(**_merged(run_cfg, args, TRAIN_KEYS))
-    start = None
-    if cfg.init_checkpoint is not None:
-        start, _ = load_model(cfg.init_checkpoint, (src_vocab.tokens, tgt_vocab.tokens))
-    return src_vocab, tgt_vocab, model_cfg, train_corpus, valid_corpus, cfg, start
+    settings = _merged(run_cfg, args, TRAIN_KEYS)
+    init_checkpoint, start = settings.pop("init_checkpoint", None), None
+    cfg = TrainConfig(**settings)
+    if init_checkpoint is not None:
+        if not isinstance(init_checkpoint, str):
+            raise DataError(f"init_checkpoint must be a path, got {init_checkpoint!r}")
+        start, _ = load_model(init_checkpoint, (src_vocab.tokens, tgt_vocab.tokens))
+    return (src_vocab, tgt_vocab, model_cfg, train_corpus, valid_corpus, cfg,
+            init_checkpoint, start)
 
 
 def cmd_train(args) -> int:
@@ -182,12 +186,11 @@ def cmd_train(args) -> int:
     for flag, path in outputs.items():
         if path and not os.path.isdir(os.path.dirname(path) or "."):
             raise DataError(f"{flag} {path}: no such directory")
-    src_vocab, tgt_vocab, model_cfg, train_corpus, valid_corpus, cfg, start = (
-        _load_train_inputs(args)
-    )
-    _log_config_header(
-        {"model": model_cfg.to_dict(), "train": {**cfg.__dict__, "loss_kind": cfg.loss_kind.value}}
-    )
+    (src_vocab, tgt_vocab, model_cfg, train_corpus, valid_corpus, cfg, init_checkpoint,
+     start) = _load_train_inputs(args)
+    train_settings = {**cfg.__dict__, "loss_kind": cfg.loss_kind.value,
+                      "init_checkpoint": init_checkpoint}
+    _log_config_header({"model": model_cfg.to_dict(), "train": train_settings})
     result = trainer.train(cfg, model_cfg, train_corpus, valid_corpus, start)
     save_model(
         result.best_params, model_cfg, args.checkpoint_out,
@@ -327,7 +330,7 @@ def _sweep_inputs(args):
     """A sweep's inputs, with an MRT TrainConfig and the init checkpoint as
     the start of every row. A row is its best validation BLEU: refuse,
     before any training, the settings under which no validation pass runs."""
-    _, _, model_cfg, train_corpus, valid_corpus, cfg, start = _load_train_inputs(args)
+    _, _, model_cfg, train_corpus, valid_corpus, cfg, _, start = _load_train_inputs(args)
     cfg = replace(cfg, criterion="mrt")
     if start is None:
         raise TrainError(f"{args.command} requires an initial checkpoint")

@@ -673,27 +673,26 @@ def _read_sidecar(path: str) -> tuple[ModelConfig, dict[str, str]]:
     return ModelConfig.from_dict(d), recorded
 
 
-def load_model(path: str, vocabs: Vocabs | None = None) -> tuple[ParamStore, ModelConfig]:
-    """Checkpoint and sidecar config; raises ModelError if they disagree,
-    or if ``vocabs`` (source, target token lists) do not fit the checkpoint:
-    other sizes, or other token lists where the sidecar records hashes."""
+def load_model(path: str, vocabs: Vocabs) -> tuple[ParamStore, ModelConfig]:
+    """Checkpoint and sidecar config, the one reader of a checkpoint. Raises
+    ModelError unless the tensors fit the sidecar and ``vocabs`` (source,
+    target token lists) fit the checkpoint: their sizes always, their token
+    lists too where the sidecar records hashes."""
     params = ParamStore.load(path)
     cfg, recorded = _read_sidecar(path)
     check_params(params, cfg)
-    if vocabs is not None:
-        sizes = tuple(len(tokens) for tokens in vocabs)
-        want = (cfg.src_vocab_size, cfg.tgt_vocab_size)
-        if sizes != want:
+    sizes = tuple(len(tokens) for tokens in vocabs)
+    want = (cfg.src_vocab_size, cfg.tgt_vocab_size)
+    if sizes != want:
+        raise ModelError(
+            f"vocab sizes {sizes[0]}/{sizes[1]} (source/target) do "
+            f"not match the checkpoint's {want[0]}/{want[1]}"
+        )
+    given = _vocab_hashes(vocabs) if recorded else {}
+    for key, side in zip(VOCAB_KEYS, ("source", "target")):
+        if key in recorded and recorded[key] != given[key]:
             raise ModelError(
-                f"vocab sizes {sizes[0]}/{sizes[1]} (source/target) do "
-                f"not match the checkpoint's {want[0]}/{want[1]}"
+                f"{side} vocab is not the one the checkpoint was trained "
+                f"with: its token list has another sha256"
             )
-        given = _vocab_hashes(vocabs) if recorded else {}
-        for key, side in zip(VOCAB_KEYS, ("source", "target")):
-            if key in recorded and recorded[key] != given[key]:
-                raise ModelError(
-                    f"{side} vocab is not the one the checkpoint was trained "
-                    f"with: its token list has another sha256"
-                )
     return params, cfg
-

@@ -4,13 +4,12 @@ Plain SGD with global-norm gradient clipping; validation decoding with
 beam 10 every eval_every updates; the checkpoint with the best validation
 corpus BLEU is retained. Each update steps with the batch mean of one
 ``mrt`` objective, ``mle_loss_and_grad`` or ``mrt_loss_and_grad``.
-Minimum risk fine-tuning always starts from given parameters (``initial``
-or ``init_checkpoint``); for a random start, save the parameters of a
-maximum likelihood run of 0 updates. Every given start is checked against
-the model config (``model.check_params``) before the first update, so
-parameters of another shape raise ``ModelError``. ``init_checkpoint`` is
-read here without its sidecar; the CLI reads it with ``load_model`` and
-passes it as ``initial``.
+Minimum risk fine-tuning always starts from given parameters, the
+``initial`` ``ParamStore``; for a random start, save the parameters of a
+maximum likelihood run of 0 updates. A start on disk is read with
+``model.load_model``. Every given start is checked against the model
+config (``model.check_params``) before the first update, so parameters
+of another shape raise ``ModelError``.
 
 The global gradient norm is a numpy pairwise sum, not ``np.linalg.norm``.
 For a long 1-D array the latter is a BLAS dot product, which multi-threaded
@@ -63,7 +62,6 @@ class TrainConfig:
     k: int = mrt.DEFAULT_K
     loss_kind: LossKind = LossKind.NEG_SMOOTHED_BLEU
     seed: int = 0
-    init_checkpoint: str | None = None
     workers: int = 1  # only 1 is accepted: MRT sentences run in order
 
     def __post_init__(self):
@@ -83,8 +81,6 @@ class TrainConfig:
                 continue
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise TrainError(f"{name} must be a number, got {value!r}")
-        if not isinstance(self.init_checkpoint, (str, type(None))):
-            raise TrainError(f"init_checkpoint must be a path, got {self.init_checkpoint!r}")
         for name in ("batch_size", "k"):
             if getattr(self, name) < 1:
                 raise TrainError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -142,8 +138,6 @@ def train(
     if valid_corpus is not None and not valid_corpus.pairs:
         # corpus BLEU of nothing is 0.0: every validation would tie at 0.0
         raise TrainError("empty validation corpus")
-    if initial is None and cfg.init_checkpoint is not None:
-        initial = ParamStore.load(cfg.init_checkpoint)
     if initial is not None:
         check_params(initial, model_cfg)
     elif cfg.criterion == "mrt":
@@ -167,7 +161,7 @@ def train(
 
     for update in range(1, cfg.max_updates + 1):
         if cursor + cfg.batch_size > len(order):
-            order = list(shuffle_rng.permutation(len(train_corpus)))
+            order = shuffle_rng.permutation(len(train_corpus)).tolist()
             cursor = 0
         batch_idx = order[cursor : cursor + cfg.batch_size]
         cursor += cfg.batch_size

@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -341,7 +344,7 @@ class TestTrainDecodeEvaluate:
         )
         assert code == 0
         vocab = Vocab.load("task/vocab.txt")
-        params, _ = load_model("model.ckpt")
+        params, _ = load_model("model.ckpt", (vocab.tokens, vocab.tokens))
         want = [
             " ".join(vocab.decode([t for t in out if t != EOS]))
             for out in (beam_decode(params, vocab.encode(w), 3, 6) for w in lines)
@@ -1077,3 +1080,89 @@ class TestSweeps:
         for line in lines[1:]:
             _, std, bleu = line.split(",")
             assert float(std) >= 0.0 and 0.0 <= float(bleu) <= 100.0
+
+
+def _sidecar_with(**change):
+    def prepare(workdir):
+        path = workdir / "model.ckpt.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), **change}))
+    return prepare
+
+
+def _write(**files):
+    def prepare(workdir):
+        for name, text in files.items():
+            (workdir / name).write_text(text)
+    return prepare
+
+
+class TestMalformedInputs:
+    """Each input here is a data error (exit 2): one error line on stderr,
+    nothing on stdout and no output file."""
+
+    TRAIN = ["train", "--train-src", "task/train.src", "--train-tgt", "task/train.tgt",
+             "--src-vocab", "task/vocab.txt", "--tgt-vocab", "task/vocab.txt",
+             "--checkpoint-out", "m.ckpt"]
+    CASES = {
+        "config-array": (_write(**{"cfg.json": "[1, 2]"}),
+                         TRAIN + ["--config", "cfg.json"],
+                         "config cfg.json: expected a JSON object"),
+        "no-reference": (_write(),
+                         ["evaluate", "--hyp", "task/valid.tgt", "--ref", "none.ref"],
+                         "no reference file at none.ref or none.ref.0"),
+        "gold-shorter-than-input": (
+            _write(**{"in.src": "w04 w05\nw05 w06\n", "gold.txt": "w04 w05\n"}),
+            ["sample", "--checkpoint", "model.ckpt", "--src-vocab", "task/vocab.txt",
+             "--tgt-vocab", "task/vocab.txt", "--input", "in.src", "--gold", "gold.txt"],
+            "2 source lines vs 1 gold lines"),
+        "length-range": (_write(),
+                         ["gen-synthetic", "--task", "copy", "--vocab-size", "8",
+                          "--n-sentences", "30", "--len-min", "0", "--out-dir", "out"],
+                         "bad length range (0, 6)"),
+        "empty-hyp-and-ref": (_write(**{"e.hyp": "", "e.ref": ""}),
+                              ["evaluate", "--hyp", "e.hyp", "--ref", "e.ref"],
+                              "empty references"),
+        "sidecar-array": (_write(**{"model.ckpt.json": "[]"}), TestUnreadableFiles.DECODE,
+                          "model.ckpt.json: expected a JSON object"),
+        "sidecar-hash-number": (_sidecar_with(src_vocab_sha256=5),
+                                TestUnreadableFiles.DECODE,
+                                "model.ckpt.json: vocab hashes must be strings"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_one_error_line_and_no_output(self, trained, workdir, capsys, case):
+        prepare, argv, message = self.CASES[case]
+        prepare(workdir)
+        code, out, err = run(capsys, *argv, "--quiet")
+        _one_line_data_error(code, out, err)
+        assert err == f"error: {message}\n"
+        assert not any(os.path.exists(f) for f in ("m.ckpt", "hyp.txt", "out"))
+
+
+class TestChildProcess:
+    """``python -m riskseq.cli``, as the benchmark runs decode."""
+
+    def _decode(self, *extra):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(Path(__file__).resolve().parents[1] / "src"),
+                        os.environ.get("PYTHONPATH")) if p
+        )
+        return subprocess.run(
+            [sys.executable, "-m", "riskseq.cli", *TestUnreadableFiles.DECODE,
+             "--quiet", *extra],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    def test_decode_exits_0_and_writes_its_output(self, trained, workdir):
+        proc = self._decode()
+        assert proc.returncode == 0, proc.stderr
+        assert not proc.stdout and not proc.stderr
+        hyps = (workdir / "hyp.txt").read_text().splitlines()
+        assert len(hyps) == len(read_token_lines("task/valid.src"))
+
+    def test_bad_beam_exits_2_with_one_error_line(self, trained, workdir):
+        proc = self._decode("--beam", "0")
+        _one_line_data_error(proc.returncode, proc.stdout, proc.stderr)
+        assert proc.stderr == "error: beam width must be >= 1, got 0\n"
+        assert not os.path.exists("hyp.txt")

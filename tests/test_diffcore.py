@@ -96,6 +96,55 @@ class TestPrimitives:
         assert np.all(np.isfinite(out))
 
 
+def _load_bytes(tmp_path, blob):
+    path = tmp_path / "edge.ckpt"
+    path.write_bytes(blob)
+    return ParamStore.load(path)
+
+
+def _on_tape(op, *values, **kwargs):
+    tape = Tape()
+    return getattr(tape, op)(*map(tape.const, values), **kwargs)
+
+
+class TestEdgeInputs:
+    """Guards and empty inputs: each call raises the ``(error type,
+    message)`` it is paired with, or returns the value it is paired with."""
+
+    @pytest.mark.parametrize(
+        "call, outcome",
+        [
+            (lambda _: _on_tape("add", np.ones(2), np.ones(3)),
+             (ShapeMismatchError, "add: incompatible shapes (2,) and (3,)")),
+            (lambda _: _on_tape("mul", np.ones((2, 3)), np.ones(3)),
+             (ShapeMismatchError, "mul: incompatible shapes (2, 3) and (3,)")),
+            (lambda _: _on_tape("lookup", np.ones(3), index=0),
+             (ShapeMismatchError, "lookup: incompatible shapes (3,) and ()")),
+            (lambda _: _on_tape("pick", np.ones((2, 2, 2)), index=0),
+             (ShapeMismatchError, "pick: incompatible shapes (2, 2, 2) and ()")),
+            (lambda _: _on_tape("sum", np.ones((2, 2)), axis=1),
+             (DiffError, "sum over axis 1 of shape (2, 2)")),
+            (lambda _: make_store(a=np.zeros(2)).set_flat(np.zeros(3)),
+             (ShapeMismatchError, "set_flat: incompatible shapes (3,) and (2,)")),
+            (lambda tmp: _load_bytes(  # one tensor, with the 1-byte name 0xff
+                tmp, ParamStore.MAGIC + struct.pack("<2I", 1, 1) + b"\xff"),
+             (DiffError, "bad tensor name in ")),
+            (lambda _: ParamStore().flat().size, 0),
+            (lambda _: relative_error(np.zeros(0), np.zeros(0)), 0.0),
+        ],
+        ids=["add-shapes", "mul-shapes", "lookup-1d-table", "pick-3d", "sum-axis-1",
+             "set-flat-length", "load-non-utf8-name", "empty-store-flat",
+             "relative-error-empty"],
+    )
+    def test_outcome(self, tmp_path, call, outcome):
+        if isinstance(outcome, tuple):
+            error, message = outcome
+            with pytest.raises(error, match=re.escape(message)):
+                call(tmp_path)
+        else:
+            assert call(tmp_path) == outcome
+
+
 class TestBackward:
     def test_square_gradient(self):
         store = make_store(x=[3.0])

@@ -121,6 +121,10 @@ class TestConfig:
         cfg = tiny_config()
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
 
+    def test_from_dict_rejects_a_non_object(self):
+        with pytest.raises(ModelError, match="model config must be a JSON object"):
+            ModelConfig.from_dict([])
+
     @pytest.mark.parametrize(
         "change, message",
         [({"src_vocab_size": None}, "missing keys ['src_vocab_size']"),
@@ -527,6 +531,14 @@ class TestRowBatchedSteps:
             assert loss[b].tobytes() == one_loss.tobytes()
             assert grad[b].tobytes() == one_grad.tobytes()
 
+    @pytest.mark.parametrize("token", [7, -1])
+    def test_out_of_range_token_rejected(self, tiny, token):
+        _, params = tiny
+        bound = BoundModel(params, Tape(record=False))
+        ann = bound.encode([4, 5])
+        with pytest.raises(ModelError, match=f"token id {token} out of range"):
+            bound.step_logits(token, bound.initial_state(ann), ann)
+
     def test_out_of_range_row_token_rejected(self, tiny):
         _, params = tiny
         bound = BoundModel(params, Tape(record=False))
@@ -536,12 +548,17 @@ class TestRowBatchedSteps:
             bound.step_logits(np.array([BOS, 7]), Node(np.stack([z, z])), ann)
 
 
+def vocabs_of(cfg):
+    """Token lists of the config's vocab sizes."""
+    return ["s"] * cfg.src_vocab_size, ["t"] * cfg.tgt_vocab_size
+
+
 class TestCheckpoint:
     def test_save_load_roundtrip(self, tiny, tmp_path):
         cfg, params = tiny
         path = str(tmp_path / "model.ckpt")
         save_model(params, cfg, path)
-        loaded_params, loaded_cfg = load_model(path)
+        loaded_params, loaded_cfg = load_model(path, vocabs_of(cfg))
         assert loaded_cfg == cfg
         np.testing.assert_array_equal(loaded_params.flat(), params.flat())
 
@@ -549,7 +566,7 @@ class TestCheckpoint:
         cfg, params = tiny
         path = str(tmp_path / "model.ckpt")
         save_model(params, cfg, path)
-        loaded, _ = load_model(path)
+        loaded, _ = load_model(path, vocabs_of(cfg))
         a, _ = sequence_logprob(params, [4, 5, 6], [5, 4, EOS])
         b, _ = sequence_logprob(loaded, [4, 5, 6], [5, 4, EOS])
         assert a == b
@@ -576,4 +593,4 @@ class TestCheckpoint:
         path = str(tmp_path / "model.ckpt")
         save_model(params, tiny_config(hidden_dim=4), path)
         with pytest.raises(ModelError, match="does not fit"):
-            load_model(path)
+            load_model(path, vocabs_of(cfg))

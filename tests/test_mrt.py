@@ -331,6 +331,10 @@ class TestQDistribution:
         q = q_distribution(self._space([-5.0, -1.0, -3.0]), alpha=0.3)
         assert q[1] > q[2] > q[0]
 
+    def test_infinite_logprob_rejected(self):
+        with pytest.raises(MrtError, match="non-finite candidate log-probabilities"):
+            q_distribution(self._space([-1.0, -math.inf]), alpha=1.0)
+
     def test_alpha_must_be_positive(self):
         for alpha in (0.0, -1.0, math.nan, math.inf, -math.inf):
             with pytest.raises(MrtError, match="positive and finite"):

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from conftest import noisy_params, toy_config
 from riskseq import mrt, trainer
 from riskseq.data import Corpus, SentencePair
 from riskseq.metrics import LossKind
-from riskseq.model import EOS, BoundModel, ModelError, init_params
+from riskseq.model import EOS, BoundModel, ModelError, init_params, load_model, save_model
 from riskseq.mrt import mle_loss_and_grad
 from riskseq.trainer import (
     CurvePoint,
@@ -74,7 +75,6 @@ class TestTrainConfig:
             ("grad_clip_norm", None),
             ("alpha", True),
             ("loss_kind", 5),
-            ("init_checkpoint", 5),
             ("grad_clip_norm", float("nan")),
             ("grad_clip_norm", -1.0),
             ("learning_rate", float("inf")),
@@ -164,6 +164,25 @@ class TestTrainMle:
             train(tc, cfg, tiny_corpus(), Corpus(name="valid", pairs=[]))
 
 
+    def test_non_finite_objective_names_update_and_batch(self, monkeypatch):
+        cfg = toy_config()
+        corpus = tiny_corpus()
+        batches = []
+
+        def nan_at_second_update(params, batch):
+            batches.append([next(i for i, p in enumerate(corpus.pairs) if p is q)
+                            for q in batch])
+            return (1.0 if len(batches) == 1 else math.nan), np.zeros(params.size)
+
+        monkeypatch.setattr(mrt, "mle_loss_and_grad", nan_at_second_update)
+        tc = TrainConfig(criterion="mle", batch_size=4, max_updates=3, eval_every=0)
+        with pytest.raises(TrainError) as exc:
+            train(tc, cfg, corpus, None)
+        assert len(batches) == 2
+        assert str(exc.value) == ("non-finite loss or gradient at update 2; "
+                                  f"batch sentence indices: {batches[1]}")
+
+
 class TestTrainMrt:
     def test_requires_initial_checkpoint(self):
         cfg = toy_config()
@@ -172,35 +191,31 @@ class TestTrainMrt:
             train(tc, cfg, tiny_corpus(), None)
 
     def test_init_checkpoint_loaded(self, tmp_path):
+        """A start on disk is read with load_model and given as initial."""
         cfg = toy_config()
         start = noisy_params(cfg, seed=1)
         path = str(tmp_path / "init.ckpt")
-        start.save(path)
+        save_model(start, cfg, path)
+        vocabs = (["w"] * cfg.src_vocab_size, ["w"] * cfg.tgt_vocab_size)
+        loaded, _ = load_model(path, vocabs)
         tc = TrainConfig(criterion="mrt", batch_size=2, max_updates=1,
-                         eval_every=0, k=5, init_checkpoint=path,
-                         learning_rate=0.0)
-        res = train(tc, cfg, tiny_corpus(n=4), None)
+                         eval_every=0, k=5, learning_rate=0.0)
+        res = train(tc, cfg, tiny_corpus(n=4), None, loaded)
         # zero learning rate: params must equal the loaded checkpoint
         np.testing.assert_array_equal(res.final_params.flat(), start.flat())
 
     @pytest.mark.parametrize("criterion", ["mle", "mrt"])
-    @pytest.mark.parametrize("given", ["initial", "init_checkpoint"])
-    def test_start_that_does_not_fit_is_model_error(self, tmp_path, monkeypatch,
-                                                    criterion, given):
+    def test_start_that_does_not_fit_is_model_error(self, monkeypatch, criterion):
         def no_update(*args, **kwargs):
             raise AssertionError("updated from a start that does not fit")
 
         monkeypatch.setattr(mrt, "mle_loss_and_grad", no_update)
         monkeypatch.setattr(mrt, "mrt_loss_and_grad", no_update)
         start = noisy_params(toy_config(hidden_dim=5), seed=1)
-        path = str(tmp_path / "init.ckpt")
-        start.save(path)
         tc = TrainConfig(criterion=criterion, batch_size=2, max_updates=1,
-                         eval_every=0, k=5,
-                         init_checkpoint=path if given == "init_checkpoint" else None)
+                         eval_every=0, k=5)
         with pytest.raises(ModelError, match="does not fit the model config"):
-            train(tc, toy_config(hidden_dim=4), tiny_corpus(n=4), None,
-                  start if given == "initial" else None)
+            train(tc, toy_config(hidden_dim=4), tiny_corpus(n=4), None, start)
 
     def test_deterministic_with_single_worker(self):
         cfg = toy_config()
