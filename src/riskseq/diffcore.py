@@ -22,7 +22,9 @@ unless they are added in the order the sweep would add them.
 Values may carry a leading axis of B independent rows (a row batch),
 (B, ...) for every B >= 1. A seed of one loss per row then gives each
 parameter one adjoint per row, each with the bits of sweeping its row
-alone.
+alone. Rows may leave a row batch as it goes (a ragged batch): a node's
+first contribution then holds all its rows, and a later one of only the
+leading rows adds into those.
 """
 
 from __future__ import annotations
@@ -43,12 +45,14 @@ __all__ = [
     "ShapeMismatchError",
     "NonFiniteError",
     "Node",
+    "Outer",
     "Tape",
     "ParamStore",
     "atomic_writer",
     "sigmoid",
     "log_softmax",
     "log_softmax_vjp",
+    "outer",
     "finite_diff_grad",
     "relative_error",
 ]
@@ -89,6 +93,22 @@ class Node:
         self.value = value
         self.parents = parents
         self.vjp = vjp
+
+
+def outer(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The outer product of x and g, one (n, m) table per stacked row."""
+    return x[..., None] * g[..., None, :]
+
+
+class Outer:
+    """A VJP contribution standing for ``outer(x, g)``. The sweep forms it
+    only when it adds it, and keeps it as the adjoint when it is the first,
+    so a fused VJP that returns several holds one table at a time."""
+
+    __slots__ = ("x", "g")
+
+    def __init__(self, x: np.ndarray, g: np.ndarray):
+        self.x, self.g = x, g
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -284,7 +304,9 @@ class Tape:
         does not reach get zeros. A seed of one loss per row of a row batch
         (B,) gives each adjoint a leading row axis, so the linear form is
         one gradient per row, (B, P), each with the bits of sweeping its row
-        alone."""
+        alone. A contribution of fewer leading rows than the node's first
+        adds into those rows; any other shape mismatch raises
+        ShapeMismatchError."""
         if not self.record:
             raise DiffError("gradient on a non-recording tape")
         rows = seed.value.shape
@@ -301,10 +323,17 @@ class Tape:
             for parent, contrib in zip(node.parents, node.vjp(g)):
                 key = id(parent)
                 acc = adjoints.get(key)
+                if type(contrib) is Outer:
+                    contrib = outer(contrib.x, contrib.g)
+                    if acc is None:
+                        adjoints[key] = contrib
+                        continue
                 if acc is None:
                     adjoints[key] = np.array(contrib, dtype=np.float64)
-                else:
+                elif acc.shape == contrib.shape:
                     acc += contrib
+                else:
+                    _add_leading_rows(acc, contrib)
         by_name = {
             name: adjoints[id(node)] if id(node) in adjoints
             else np.zeros(rows + node.value.shape)
@@ -316,6 +345,14 @@ class Tape:
         for name, part in store.views(out).items():
             part[...] = by_name.pop(name)
         return out
+
+
+def _add_leading_rows(acc: np.ndarray, contrib: np.ndarray) -> None:
+    """``acc[:n] += contrib`` for a contribution of the n leading rows of
+    ``acc``, as when rows leave a ragged row batch."""
+    if acc.ndim == 0 or acc.shape[1:] != contrib.shape[1:] or len(contrib) > len(acc):
+        raise ShapeMismatchError("gradient", acc.shape, contrib.shape)
+    acc[: len(contrib)] += contrib
 
 
 def _at(index: int | np.ndarray, rows: bool):

@@ -11,9 +11,12 @@ also take a row batch, (B, ...) for every B >= 1: B sources of one length as
 an (S, B) array, B token ids and (B, H) states; only ``PrefixMemo`` and the
 oracle walk 1-D. Beam search steps every live hypothesis of a group of
 same-length sources so, without recording, each row attending over its own
-sentence's annotations (``Annotations.rows``); MLE steps sentences of one
-shape so on a recording tape, and ``PrefixMemo.weighted_logprob`` sweeps
-the memo's steps back so, one depth at a time. Every product, forward and
+sentence's annotations (``Annotations.rows``), and
+``PrefixMemo.weighted_logprob`` sweeps the memo's steps back so, one depth
+at a time. A list of sources of any lengths encodes as a ragged row batch,
+with no padding, and a decoder step over it takes the leading rows of its
+states; MLE steps its whole batch so on a recording tape, each step
+holding the sentences whose walks have begun. Every product, forward and
 VJP, goes through ``_vm``, whose stacked form makes one gemv call per row,
 the call a single row makes, and parameter contributions keep a leading
 row axis. So every row keeps the bits of stepping it alone, its gradient
@@ -36,8 +39,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .diffcore import Node, ParamStore, RiskseqError, Tape
+from .diffcore import Node, Outer, ParamStore, RiskseqError, Tape
 from .diffcore import atomic_writer, log_softmax, log_softmax_vjp, sigmoid
+from .diffcore import outer as _outer
 
 __all__ = [
     "PAD",
@@ -149,6 +153,40 @@ def init_params(cfg: ModelConfig, seed: int) -> ParamStore:
     return store
 
 
+def _rows(index: np.ndarray) -> np.ndarray | slice:
+    """Ascending row indices, as a slice when they are consecutive, so
+    taking those rows makes a view and no copy."""
+    if len(index) and index[-1] - index[0] == len(index) - 1 and np.all(np.diff(index) == 1):
+        return slice(int(index[0]), int(index[-1]) + 1)
+    return index
+
+
+def _leading(rows: np.ndarray | slice, n: int) -> tuple[np.ndarray | slice, int]:
+    """Those of ``rows`` (see ``_rows``) below n, and how many they are."""
+    if isinstance(rows, slice):
+        m = max(0, min(rows.stop, n) - rows.start)
+        return slice(rows.start, rows.start + m), m
+    m = int(np.searchsorted(rows, n))
+    return rows[:m], m
+
+
+def _join_rows(tape: Tape, prev: Node, first: Node, n: int) -> Node:
+    """The state of the n leading rows of a ragged walk whose rows join it
+    as it goes: prev's rows, then rows [len(prev):n] of ``first``, the
+    states the joining rows start from. Rows are ordered so that those
+    still to join come last. Its VJP hands prev one contribution, the sum
+    of the next step's, so prev must get no other before it."""
+    k = len(prev.value)
+    value = np.concatenate([prev.value, first.value[k:n]])
+    return tape.emit(value, (prev, first), partial(_join_vjp, k))
+
+
+def _encoder_param(name: str) -> bool:
+    """Whether only the encoder's steps read parameter ``name``; after a
+    ragged encode its adjoint's rows are in ``Annotations.order``."""
+    return name == "src_embed" or name.startswith("enc_")
+
+
 def check_params(store: ParamStore, cfg: ModelConfig) -> None:
     """Raise ModelError unless ``store`` holds exactly the tensors, by name
     and shape, of a model built from ``cfg``."""
@@ -180,11 +218,6 @@ def _vm(x: np.ndarray):
     return np.matmul if x.ndim == 1 else _rows_vm
 
 
-def _outer(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The outer product of x and g, one (n, m) table per stacked row."""
-    return x[..., None] * g[..., None, :]
-
-
 def _factors(x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """An outer product kept as its two factors, for a later ``_outer``."""
     return x, g
@@ -199,7 +232,7 @@ def _factors(x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # bits. ``outer`` forms each parameter's outer-product contribution.
 
 
-def _gru_vjp(shared, rows, g, outer=_outer):
+def _gru_vjp(shared, rows, g, outer=Outer):
     # d*_pre: adjoints of the three pre-activation sums. z is reached
     # through z * hbar, then through keep = 1 + z * -1.0.
     Uh, Wh, Ur, Wr, Uz, Wz = shared
@@ -220,13 +253,13 @@ def _gru_vjp(shared, rows, g, outer=_outer):
     )
 
 
-def _initial_state_vjp(shared, rows, g, outer=_outer):
+def _initial_state_vjp(shared, rows, g, outer=Outer):
     (W,), (value, first) = shared, rows
     dpre = g * (1.0 - value * value)
     return (dpre, _vm(g)(dpre, W.T), outer(first, dpre))
 
 
-def _attend_vjp(shared, rows, g, outer=_outer):
+def _attend_vjp(shared, rows, g, outer=Outer):
     # A recording row step has one annotation matrix per row.
     (matrix, v, W), (e, weights, zv) = shared, rows
     vm = _vm(g)
@@ -237,7 +270,7 @@ def _attend_vjp(shared, rows, g, outer=_outer):
     return (outer(weights, g), vm(ds, e), de, vm(dze, W.T), outer(zv, dze))
 
 
-def _readout_vjp(shared, rows, g, outer=_outer):
+def _readout_vjp(shared, rows, g, outer=Outer):
     (oW, rW, lo, hi), (readout, c) = shared, rows
     vm = _vm(g)
     dsum = vm(g, oW.T) * (1.0 - readout * readout)
@@ -248,14 +281,102 @@ def _readout_vjp(shared, rows, g, outer=_outer):
     )
 
 
+# The VJPs of a ragged encode's nodes (``BoundModel._encode_ragged``) and
+# of its attention. Each sends every row the contribution the uniform
+# node's VJP would, gathered or assigned row by row. Where a node takes
+# rows of another at scattered places, zeros fill the rest of its
+# contribution; adding an exact zero changes no nonzero adjoint, only,
+# at most, the sign of a zero one.
+
+# The places of h and of x among a GRU step's parents (see ``_gru_step``)
+_GRU_H, _GRU_X = (0, 5, 7, 12), (3, 9, 14)
+
+
+def _ragged_gru_vjp(vjp, at, shape, k, g):
+    """A GRU step's VJP when its input rows were taken at ``at`` from a
+    node of ``shape`` and only the leading k rows of its state came from h:
+    the x contributions scattered back to those rows, h's cut to k rows."""
+    out = list(vjp(g))
+    for i in _GRU_X:
+        full = np.zeros(shape)
+        full[at] = out[i]
+        out[i] = full
+    for i in _GRU_H:
+        out[i] = out[i][:k]
+    return out
+
+
+def _src_lookup_vjp(rows, toks, shape, g):
+    """The source table's adjoint, one (V, E) table per encoder row: token
+    k of ``rows``/``toks`` (last position first, as the tape sweeps the
+    uniform encode's lookups) adds its row of ``g``, in order."""
+    out = np.zeros(shape)
+    np.add.at(out, (rows, toks), g[::-1])
+    return (out,)
+
+
+def _annotations_vjp(fwd_at, bwd_at, g):
+    # what the uniform encode's concat and stacks give each state row
+    H = g.shape[-1] // 2
+    return (
+        *(g[at + (slice(None, H),)] for at in fwd_at),
+        *(g[at + (slice(H, None),)] for at in bwd_at),
+    )
+
+
+def _ragged_proj_vjp(groups, U, shape, g):
+    dmat, dU = np.zeros(shape), np.empty((shape[0],) + U.shape)
+    for at, mat, _ in groups:
+        gg = g[at, : mat.shape[1]]
+        dmat[at, : mat.shape[1]] = gg @ U.T
+        dU[at] = mat.swapaxes(-1, -2) @ gg
+    return dmat, dU
+
+
+def _take_vjp(rows, g):
+    return (g[rows],)
+
+
+def _join_vjp(k, g):
+    joined = np.zeros(g.shape)
+    joined[k:] = g[k:]
+    return g[:k], joined
+
+
+def _ragged_attend_vjp(parts, shared, zv, shape, g):
+    """``_attend_vjp`` run once per source-length group of the live rows,
+    its contributions assigned to those rows of full-row ones."""
+    v, W = shared
+    n, (A, H) = len(g), W.shape[::-1]
+    dmat, dproj = np.zeros((n,) + shape[1:]), np.zeros((n, shape[1], A))
+    dv, dz, dze = np.empty((n, A)), np.empty((n, H)), np.empty((n, A))
+    for at, mat, e, weights in parts:
+        M = mat.shape[1]
+        (w, gg), dv[at], dproj[at, :M], dz[at], (_, dze[at]) = _attend_vjp(
+            (mat, v, W), (e, weights, None), g[at], _factors
+        )
+        dmat[at, :M] = _outer(w, gg)
+    return dmat, dv, dproj, dz, Outer(zv, dze)
+
+
 @dataclass
 class Annotations:
     """Per-source-position encoder states (forward||backward concatenation),
-    plus the attention projection precomputed once per sentence."""
+    plus the attention projection precomputed once per sentence.
+
+    A ragged encode (sources of several lengths) holds, in input row order,
+    ``matrix`` as (B, M, 2H) and ``attn_proj`` as (B, M, A) for the longest
+    length M, each row's positions past its own length zero and never read.
+    ``groups`` then holds, per source length, its rows (ascending) and their
+    (b, length, 2H) annotations and (b, length, A) projections, which the
+    attention reads; ``order`` is the encoder's row order, input rows by
+    descending length."""
 
     matrix: Node         # (B, M, 2H), or (M, 2H) walked 1-D
     attn_proj: Node      # (B, M, A), or (M, A)
     bwd_first: Node      # (B, H), or (H,): backward state at position 0, seeds the decoder
+    groups: tuple = ()
+    order: np.ndarray | None = None
 
     def rows(self, owner: np.ndarray) -> "Annotations":
         """Row i holds the annotations of sentence ``owner[i]`` of the
@@ -280,14 +401,20 @@ class BoundModel:
 
     # -- recurrent pieces -------------------------------------------------
 
-    def _gru_step(self, prefix: str, x: Node, h: Node) -> Node:
+    def _gru_step(self, prefix: str, x: Node, h: Node, at=None) -> Node:
         """h' = (1 - z) * h + z * tanh(x Wh + (r * h) Uh + bh), with gates
-        z, r = sigmoid(x W + h U + b); each sum adds left to right."""
+        z, r = sigmoid(x W + h U + b); each sum adds left to right. With
+        ``at`` (a ragged encode), the input is the rows of x at ``at``, and
+        rows past h's start from a zero state. Otherwise h's leading rows
+        are stepped, one per input row."""
         Wz, Uz, bz, Wr, Ur, br, Wh, Uh, bh = (
             self.pn[f"{prefix}_{name}"]
             for name in ("Wz", "Uz", "bz", "Wr", "Ur", "br", "Wh", "Uh", "bh")
         )
-        xv, hv = x.value, h.value
+        xv = x.value if at is None else x.value[at]
+        hv = h.value if h.value.ndim == 1 else h.value[: len(xv)]
+        if at is not None and len(hv) < len(xv):
+            hv = np.concatenate([hv, np.zeros((len(xv) - len(hv), hv.shape[-1]))])
         vm = _vm(xv)
         z = sigmoid(vm(xv, Wz.value) + vm(hv, Uz.value) + bz.value)
         r = sigmoid(vm(xv, Wr.value) + vm(hv, Ur.value) + br.value)
@@ -296,17 +423,23 @@ class BoundModel:
         keep = 1.0 - z  # bit-equal to 1 + z * -1.0
         shared = (Uh.value, Wh.value, Ur.value, Wr.value, Uz.value, Wz.value)
         vjp = partial(_gru_vjp, shared, (xv, hv, z, r, rh, hbar, keep))
+        if at is not None:
+            vjp = partial(_ragged_gru_vjp, vjp, at, x.value.shape, len(h.value))
         # Sweep order: h gets four contributions (through keep * h, r * h,
         # h @ Ur, h @ Uz) and x three (through Wh, Wr, Wz), never pre-summed.
         parents = (h, bh, Uh, x, Wh, h, br, h, Ur, x, Wr, bz, h, Uz, x, Wz)
         return self.tape.emit(keep * hv + z * hbar, parents, vjp)
 
-    def encode(self, src: Sequence[int] | np.ndarray) -> Annotations:
+    def encode(self, src) -> Annotations:
         """Annotations of a source sentence, given by its token ids in
         order. Each position may instead hold a vector of B ids, for B
         sentences of one length (a (S, B) array); every node then holds B
         rows, each byte-equal to encoding its sentence alone, and ``matrix``
-        is (B, S, 2H)."""
+        is (B, S, 2H). A list of B sentences (sequences of ids) of any
+        lengths is a ragged row batch, with one row per sentence in list
+        order (see ``Annotations``)."""
+        if isinstance(src, (list, tuple)) and src and not np.isscalar(src[0]):
+            return self._encode_ragged(src)
         t, p = self.tape, self.pn
         ids = np.asarray(src)
         _check_source(ids, self.src_vocab_size)
@@ -329,6 +462,78 @@ class BoundModel:
         attn_proj = t.matmul(matrix, p["attn_U"])
         return Annotations(matrix=matrix, attn_proj=attn_proj, bwd_first=bwd[0])
 
+    def _encode_ragged(self, sources: Sequence[Sequence[int]]) -> Annotations:
+        """``encode`` of sentences of any lengths, one row each, with no
+        padding. Encoder rows run by descending length, and both directions
+        end at the same step for every row: a row joins a direction's walk,
+        from a zero state, at the step that leaves it just enough steps for
+        its own positions (see ``_join_rows``). So the rows of a step are
+        leading rows, the last step holds all of them, and every node's
+        first adjoint contribution is its largest. Forward step k takes
+        position k - (M - S) of each row of length S, for the longest length
+        M, and backward step k position M - 1 - k, both from one lookup of
+        every token. Each row, and each node's contribution to it, is the
+        uniform encode's for its sentence, but for the sign of a zero
+        adjoint (see the VJPs above)."""
+        t, p = self.tape, self.pn
+        for src in sources:
+            _check_source(src, self.src_vocab_size)
+        B, H = len(sources), self.store["dec_init_b"].shape[0]
+        lens = np.array([len(src) for src in sources])
+        order = np.argsort(-lens, kind="stable")
+        S, M = lens[order], lens.max()
+        has = S > np.arange(M)[:, None]  # (position, encoder row)
+        ids = np.zeros((B, M), dtype=np.int64)
+        for r, i in enumerate(order):
+            ids[r, : S[r]] = sources[i]
+        # every token once, position by position: token (r, j) is at start[j] + r
+        pos, rows = np.nonzero(has)
+        toks = ids[rows, pos]
+        live = has.sum(axis=1)
+        start = np.concatenate([[0], np.cumsum(live)])
+        table = p["src_embed"]
+        embeds = t.emit(table.value[toks], (table,), partial(
+            _src_lookup_vjp, rows[::-1], toks[::-1], (B,) + table.value.shape
+        ))
+
+        # step k runs encoder rows [:live[M - 1 - k]]: their tokens in
+        # ``embeds`` and (input row, position) in the annotations
+        steps = list(enumerate(live[::-1]))
+        fwd_at = [(order[:n], k - M + S[:n]) for k, n in steps]
+        bwd_at = [(_rows(order[:n]), M - 1 - k) for k, n in steps]
+        fwd, bwd = [], []  # every forward step first, as the uniform encode
+        for walk, prefix, takes in (
+            (fwd, "enc_fwd", [start[k - M + S[:n]] + np.arange(n) for k, n in steps]),
+            (bwd, "enc_bwd", [slice(start[M - 1 - k], start[M - 1 - k] + n) for k, n in steps]),
+        ):
+            h = t.const(np.zeros((0, H)))
+            for at in takes:
+                h = self._gru_step(prefix, embeds, h, at)
+                walk.append(h)
+
+        value = np.zeros((B, M, 2 * H))
+        for f, b, fa, ba in zip(fwd, bwd, fwd_at, bwd_at):
+            value[fa + (slice(None, H),)] = f.value
+            value[ba + (slice(H, None),)] = b.value
+        matrix = t.emit(value, (*fwd, *bwd), partial(_annotations_vjp, fwd_at, bwd_at))
+
+        U = p["attn_U"]
+        proj, groups = np.zeros((B, M, U.value.shape[1])), []
+        for length in np.unique(S)[::-1]:
+            rows = _rows(np.flatnonzero(lens == length))
+            mat = np.ascontiguousarray(value[rows, :length])
+            groups.append((rows, mat, mat @ U.value))
+            proj[rows, :length] = groups[-1][2]
+        attn_proj = t.emit(
+            proj, (matrix, U), partial(_ragged_proj_vjp, groups, U.value, value.shape)
+        )
+
+        # the last backward step reaches position 0 of every row
+        first = bwd[-1]
+        if np.any(order != np.arange(B)):
+            first = t.emit(first.value[np.argsort(order)], (first,), partial(_take_vjp, order))
+        return Annotations(matrix, attn_proj, first, tuple(groups), order)
+
     def initial_state(self, ann: Annotations) -> Node:
         """tanh(bwd_first dec_init_W + dec_init_b), one fused node standing
         for matmul, add and tanh; a row of bwd_first gives a row of state."""
@@ -350,6 +555,28 @@ class BoundModel:
             vm(weights, matrix.value), (matrix, v, proj, z, W), vjp
         )
 
+    def _attend_ragged(self, z: Node, ann: Annotations, n: int) -> Node:
+        """``_attend`` for the leading n rows of z over ragged annotations:
+        still one node, whose forward runs once per source-length group of
+        those rows on the group's own annotations (the live rows of a group
+        are its leading ones), assigning each row's context."""
+        W, v = self.pn["attn_W"], self.pn["attn_v"]
+        zv = z.value[:n]
+        zW = _rows_vm(zv, W.value)
+        context, parts = np.empty((n, ann.matrix.value.shape[-1])), []
+        for rows, mat, proj in ann.groups:
+            at, m = _leading(rows, n)
+            if m:
+                mat = mat[:m]
+                e = np.tanh(proj[:m] + zW[at][:, None, :])
+                weights = np.exp(log_softmax(e @ v.value))
+                context[at] = _rows_vm(weights, mat)
+                parts.append((at, mat, e, weights))
+        vjp = partial(
+            _ragged_attend_vjp, parts, (v.value, W.value), zv, ann.matrix.value.shape
+        )
+        return self.tape.emit(context, (ann.matrix, v, ann.attn_proj, z, W), vjp)
+
     def _readout(self, emb: Node, z_new: Node, context: Node) -> Node:
         """Logits tanh([emb, z_new, context] read_W + read_b) out_W + out_b."""
         p = self.pn
@@ -369,7 +596,9 @@ class BoundModel:
         after it. ``prev_word`` may be a vector of B token ids with ``z``
         holding B rows; logits and state then hold B rows, each byte-equal to
         stepping that row alone. A recording row step needs annotations
-        encoded from the same B rows (see ``encode``)."""
+        encoded from the same B rows (see ``encode``). With ragged
+        annotations the B rows are their leading rows, and z's leading B
+        rows are stepped."""
         t, p = self.tape, self.pn
         if isinstance(prev_word, np.ndarray):
             bad = prev_word[(prev_word < 0) | (prev_word >= self.tgt_vocab_size)]
@@ -378,7 +607,10 @@ class BoundModel:
         elif not 0 <= prev_word < self.tgt_vocab_size:
             raise ModelError(f"target token id {prev_word} out of range")
         emb = t.lookup(p["tgt_embed"], prev_word)
-        context = self._attend(z, ann)
+        if ann.groups:
+            context = self._attend_ragged(z, ann, len(prev_word))
+        else:
+            context = self._attend(z, ann)
         x = t.concat([emb, context])
         z_new = self._gru_step("dec", x, z)
         return self._readout(emb, z_new, context), z_new

@@ -16,10 +16,10 @@ from the memo's steps, and on a recording memo ``mrt_grad`` adds one node
 for the whole candidate set, whose VJP sweeps every candidate's walk back
 through the memo's saved forward arrays, depth by depth as row batches.
 Spaces and gradients are bit-identical to stepping the model afresh for
-every trajectory and candidate. MLE groups the whole batch by shape and
-steps each shape's sentences as one row batch on one recording tape,
-(B, ...) for every B >= 1, with each row's loss and gradient bit-identical
-to walking it alone.
+every trajectory and candidate. MLE steps the whole batch as one ragged
+row batch on one recording tape, sentences of every length together with
+no padding, with each row's loss and gradient bit-identical to walking it
+alone.
 """
 
 from __future__ import annotations
@@ -31,8 +31,9 @@ from typing import Sequence
 import numpy as np
 
 from . import metrics
-from .diffcore import DiffError, ParamStore, RiskseqError, Tape, log_softmax
-from .model import BOS, EOS, BoundModel, PrefixMemo, _checked_target, _validate_target
+from .diffcore import DiffError, Node, ParamStore, RiskseqError, Tape, log_softmax
+from .model import BOS, EOS, BoundModel, PrefixMemo, _checked_target, _encoder_param
+from .model import _join_rows, _validate_target
 
 __all__ = [
     "MrtError",
@@ -284,50 +285,79 @@ def mle_loss_and_grad(
     pairs, such as ``data.SentencePair``, and its gradient, summed over
     sentences in index order.
 
-    The pairs of one (source length, target length), across the whole
-    batch, run as one row batch on one tape, one shape at a time. No row is
-    padded, so each row's loss and gradient keep the bits of walking its
-    sentence alone. Once every shape is done, the rows are added in index
-    order to sums that start from zero. Until then each pair's gradient is
-    held, so memory grows with batch size times parameter count: at batch
-    80 the traced peak is 19.4 MB for the recipe model and 73.0 MB for the
-    default ``ModelConfig`` (E=32, H=64, A=32, V=20)."""
+    The whole batch runs as one ragged row batch on one tape, with no
+    padding: one encode, then one decoder step per target position, whose
+    rows are the sentences whose walks have begun. Rows are ordered by
+    descending target length and every walk ends at the last step: a
+    target of n tokens joins at step T - n, from its initial state (see
+    ``_join_rows``). So each step's rows are leading rows, and the sweep,
+    which runs from the last step, meets every node's largest adjoint
+    contribution first. Each row's loss and gradient keep the bits of
+    walking its sentence alone, but for the sign of a zero gradient entry.
+    Each parameter's rows are then added in index order with one reduce
+    that starts from +0.0, as sums of the sentences into zeros would, which
+    erases that sign. The tape holds every row's gradient until then, so
+    memory grows with batch size times parameter count: at batch 80 (the
+    first 80 recipe training pairs) the traced peak is 23.0 MB for the
+    recipe model and 78.3 MB for the default ``ModelConfig`` (E=32, H=64,
+    A=32, V=20)."""
     if not batch:
         raise MrtError("empty batch")
     vocab = params["out_b"].shape[0]
     for _, tgt in batch:
         _validate_target(_checked_target(tgt), vocab)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, (src, tgt) in enumerate(batch):
-        groups.setdefault((len(src), len(tgt)), []).append(i)
-    done: dict[int, tuple[float, list[np.ndarray]]] = {}
-    for rows in groups.values():
-        nll, adjoints = _rows_nll_and_adjoints(params, [batch[i] for i in rows])
-        done.update((i, (nll[b], [g[b] for g in adjoints])) for b, i in enumerate(rows))
-    loss, grad = 0.0, np.zeros(params.size)
-    sums = list(params.views(grad).values())
-    for i in range(len(batch)):
-        nll, row = done.pop(i)
+    rows = sorted(range(len(batch)), key=lambda i: -len(batch[i][1]))
+    lens = [len(batch[i][1]) for i in rows]
+    T = lens[0]
+    # row b's walk (BOS, *target) fills its last lens[b] + 1 positions
+    tokens = np.zeros((T + 1, len(rows)), dtype=np.int64)
+    for b, i in enumerate(rows):
+        tokens[T - lens[b] :, b] = (BOS, *batch[i][1])
+    tape = Tape()
+    bound = BoundModel(params, tape)
+    ann = bound.encode([batch[i][0] for i in rows])
+    z = first = bound.initial_state(ann)
+    picks = []
+    for k in range(T):
+        n = sum(length >= T - k for length in lens)
+        if k and n > len(z.value):
+            z = _join_rows(tape, z, first, n)
+        logits, z = bound.step_logits(tokens[k, :n], z, ann)
+        picks.append(tape.pick(tape.log_softmax(logits), tokens[k + 1, :n]))
+    seed = tape.scale(_row_totals(tape, picks, lens), -1.0)
+    adjoints = tape.gradient(seed, None, bound.pn)
+    back = np.argsort(rows)  # the row of each sentence
+    enc_back = np.argsort(np.asarray(rows)[ann.order])
+    loss, grad = 0.0, np.empty(params.size)
+    for nll in seed.value[back]:
         loss += float(nll)
-        for acc, g in zip(sums, row):
-            acc += g
+    for name, part in params.views(grad).items():
+        part[...] = _sum_rows(adjoints.pop(name)[enc_back if _encoder_param(name) else back])
     return loss, grad
 
 
-def _rows_nll_and_adjoints(
-    params: ParamStore, pairs: Sequence[tuple[Sequence[int], Sequence[int]]]
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Negative log-likelihoods (B,) of B checked pairs of one shape, walked
-    as one row batch on one tape, and each parameter's adjoints (B, ...), in
-    the parameters' linear order."""
-    tape = Tape()
-    bound = BoundModel(params, tape)
-    ann = bound.encode(np.array([src for src, _ in pairs]).T)
-    tgt = np.array([(BOS, *tgt) for _, tgt in pairs]).T
-    z, picks = bound.initial_state(ann), []
-    for prev, tok in zip(tgt[:-1], tgt[1:]):
-        logits, z = bound.step_logits(prev, z, ann)
-        picks.append(tape.pick(tape.log_softmax(logits), tok))
-    seed = tape.scale(tape.sum(tape.stack_rows(picks), axis=0), -1.0)
-    adjoints = tape.gradient(seed, None, bound.pn)
-    return seed.value, [adjoints[name] for name in params.names()]
+def _row_totals(tape: Tape, picks: Sequence[Node], lens: Sequence[int]) -> Node:
+    """Each row's picks summed, as one node: ``picks[k]`` holds the leading
+    rows whose walks have begun by step k, and row b's last lens[b] picks
+    add as one vector sum, the rows of one length as one contiguous block,
+    so each row has the bits of ``Tape.sum`` of its own stack."""
+    T = len(picks)
+    table = np.zeros((len(lens), T))
+    for k, pick in enumerate(picks):
+        table[: len(pick.value), k] = pick.value
+    value, hi = np.empty(len(lens)), len(lens)
+    for length in sorted(set(lens)):
+        lo = lens.index(length)
+        value[lo:hi] = np.ascontiguousarray(table[lo:hi, T - length :]).sum(axis=-1)
+        hi = lo
+    return tape.emit(value, tuple(picks), lambda g: tuple(g[: len(p.value)] for p in picks))
+
+
+def _sum_rows(rows: np.ndarray) -> np.ndarray:
+    """rows[0] + rows[1] + ... added in order from +0.0. ``np.add.reduce``
+    adds rows of several elements so; rows of one element it would add
+    pairwise, so those go through ``accumulate``, which starts from rows[0]
+    and needs the +0.0 added after."""
+    if rows[0].size > 1:
+        return np.add.reduce(rows, axis=0)
+    return 0.0 + np.add.accumulate(rows, axis=0)[-1]

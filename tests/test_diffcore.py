@@ -255,6 +255,24 @@ class TestBackward:
         assert grad.tobytes() != (parts[0] + (parts[1] + parts[2])).tobytes()
         assert first.tolist() == [1.0]  # the first contribution is copied
 
+    def test_contribution_of_leading_rows_adds_into_them(self):
+        tape = Tape()
+        x = tape.const(np.zeros((3, 2)))
+        parts = (np.arange(6.0).reshape(3, 2), np.ones((2, 2)))
+        y = tape.emit(np.zeros(3), (x, x), lambda g: parts)
+        assert tape.gradient(y, None, {"x": x})["x"].tolist() == [[1, 2], [3, 4], [4, 5]]
+
+    @pytest.mark.parametrize("value, later", [
+        ((3, 2), (4, 2)), ((3, 2), (2, 3)), ((3, 2), (2,)), ((), (1,)),
+    ])
+    def test_other_contribution_shapes_rejected(self, value, later):
+        tape = Tape()
+        x = tape.const(np.zeros(value))
+        y = tape.emit(np.zeros(3), (x, x), lambda g: (np.zeros(value), np.zeros(later)))
+        message = re.escape(f"gradient: incompatible shapes {value}")
+        with pytest.raises(ShapeMismatchError, match=message):
+            tape.gradient(y, None, {"x": x})
+
     @pytest.mark.parametrize("node", ["gru_step", "attend", "readout"])
     def test_each_fused_node_matches_finite_differences(self, node):
         E, H, A, M = 3, 4, 2, 3

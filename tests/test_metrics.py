@@ -448,6 +448,11 @@ class TestDelta:
         with pytest.raises(MetricError):
             delta(LossKind.NEG_SMOOTHED_NIST, ["a"], ["a"])
 
+    @pytest.mark.parametrize("kind", ["bleu", None])
+    def test_kind_that_is_not_a_loss_kind_rejected(self, kind):
+        with pytest.raises(MetricError, match="unhandled loss kind"):
+            delta(kind, ["a"], ["a"])
+
     def test_info_table_only_for_nist(self):
         refs = ["a b a".split(), "b c".split()]
         assert info_table_for(LossKind.NEG_SMOOTHED_NIST, refs) == build_info_table(refs)

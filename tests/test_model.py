@@ -21,6 +21,7 @@ from riskseq.model import (
     ModelConfig,
     ModelError,
     PrefixMemo,
+    _encoder_param,
     _outer,
     _vm,
     check_params,
@@ -530,6 +531,50 @@ class TestRowBatchedSteps:
             one_loss, one_grad = walk(src[b], prev[b], tok[b])
             assert loss[b].tobytes() == one_loss.tobytes()
             assert grad[b].tobytes() == one_grad.tobytes()
+
+    @given(
+        seed=st.integers(0, 10**6),
+        dims=st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8)),
+        vocab=st.integers(4, 10),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_ragged_rows_equal_single_row_tapes(self, seed, dims, vocab, data):
+        """A recording ragged encode of sources of 1-12 tokens, its initial
+        state and one decoder step, seeded with one pick per row: each row's
+        annotations, state, logits and gradient equal those of its sentence
+        on its own 1-D tape, the gradient up to the sign of a zero."""
+        E, H, A = dims
+        params = init_params(ModelConfig(vocab, vocab, E, H, A), seed)
+        rng = np.random.default_rng(seed)
+        params.set_flat(params.flat() + rng.normal(size=params.size))
+        sources = data.draw(st.lists(
+            st.lists(st.integers(1, vocab - 1), min_size=1, max_size=12),
+            min_size=1, max_size=8))
+        prev, tok = rng.integers(0, vocab, size=(2, len(sources)))
+
+        def step(src, prev, tok):
+            bound = BoundModel(params, Tape())
+            t, ann = bound.tape, bound.encode(src)
+            logits, z = bound.step_logits(prev, bound.initial_state(ann), ann)
+            loss = t.pick(t.log_softmax(logits), tok)
+            return ann, logits, z, t.gradient(loss, None, bound.pn)
+
+        ann, logits, z, grad = step(sources, prev, tok)
+        encoder_row = np.argsort(ann.order)
+        for b, src in enumerate(sources):
+            one_ann, one_logits, one_z, one_grad = step(src, prev[b], tok[b])
+            for got, want in (
+                (ann.matrix.value[b, : len(src)], one_ann.matrix.value),
+                (ann.attn_proj.value[b, : len(src)], one_ann.attn_proj.value),
+                (ann.bwd_first.value[b], one_ann.bwd_first.value),
+                (logits.value[b], one_logits.value),
+                (z.value[b], one_z.value),
+            ):
+                assert got.tobytes() == want.tobytes()
+            for name, adjoint in grad.items():
+                row = adjoint[encoder_row[b] if _encoder_param(name) else b]
+                assert (row + 0.0).tobytes() == (one_grad[name] + 0.0).tobytes(), name
 
     @pytest.mark.parametrize("token", [7, -1])
     def test_out_of_range_token_rejected(self, tiny, token):

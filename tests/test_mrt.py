@@ -547,6 +547,44 @@ def recipe_size_check() -> tuple[bool, bool]:
     return same_batch, same_sentences
 
 
+def mle_recipe_size_check() -> bool:
+    """The acceptance recipe's model sizes (E16/H32/A16, V20) with noisy
+    parameters and a shuffled batch of 16 pairs, four of each source length
+    2-5 with targets of 1-8 tokens: whether ``mle_loss_and_grad`` equals
+    ``reference_mle_loss_and_grad`` byte for byte."""
+    cfg = ModelConfig(20, 20, embed_dim=16, hidden_dim=32, attention_dim=16, max_len=20)
+    params = noisy_params(cfg, seed=13)
+    rng = np.random.default_rng(13)
+    batch = [
+        (rng.integers(4, 20, size=n).tolist(),
+         tuple(rng.integers(4, 20, size=rng.integers(0, 8))) + (EOS,))
+        for n in rng.permutation(np.repeat([2, 3, 4, 5], 4))
+    ]
+    loss, grad = mle_loss_and_grad(params, batch)
+    ref_loss, ref_grad = reference_mle_loss_and_grad(params, batch)
+    return (np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+            and grad.tobytes() == ref_grad.tobytes())
+
+
+def at_two_blas_threads(check: str) -> str:
+    """What the function ``check`` of this module returns, as ``print``
+    writes it, in a child process whose OpenBLAS may use two threads.
+    On a 1-CPU machine OpenBLAS caps itself at one thread, so a check run
+    here passes there without discriminating."""
+    tests_dir = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(tests_dir.parent / "src"), str(tests_dir),
+                    os.environ.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import test_mrt\nprint(test_mrt.{check}())"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 class TestOneDecoderWalk:
     """MRT steps the decoder through the prefix memo and MLE through row
     batches; their gradients equal the unmemoised walk's byte for byte."""
@@ -720,21 +758,13 @@ class TestOneDecoderWalk:
         assert recipe_size_check() == (True, True)
 
     def test_recipe_size_batch_byte_equal_with_two_blas_threads(self):
-        # On a 1-CPU machine OpenBLAS caps itself at one thread, so this
-        # passes there without discriminating.
-        tests_dir = Path(__file__).resolve().parent
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(tests_dir.parent / "src"), str(tests_dir),
-                        os.environ.get("PYTHONPATH")) if p
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", "from test_mrt import recipe_size_check\n"
-             "print(*recipe_size_check())"],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["True", "True"]
+        assert at_two_blas_threads("recipe_size_check") == "(True, True)"
+
+    def test_mle_recipe_size_batch_byte_equal_to_reference(self):
+        assert mle_recipe_size_check()
+
+    def test_mle_recipe_size_batch_byte_equal_with_two_blas_threads(self):
+        assert at_two_blas_threads("mle_recipe_size_check") == "True"
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), n_pairs=st.integers(1, 4))
@@ -770,6 +800,28 @@ class TestOneDecoderWalk:
             src = st.lists(st.integers(1, 5), min_size=src_len, max_size=src_len)
             body = st.lists(st.integers(2, vocab - 1), min_size=tgt_len - 1,
                             max_size=tgt_len - 1)
+            batch.append((data.draw(src), data.draw(body) + [EOS]))
+        loss, grad = mle_loss_and_grad(params, batch)
+        ref_loss, ref_grad = reference_mle_loss_and_grad(params, batch)
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n_pairs=st.integers(1, 40))
+    def test_mle_ragged_batch_byte_equal_to_reference(self, data, n_pairs):
+        """Source and target lengths of 1-12 tokens drawn independently,
+        with up to six source lengths in a batch, one of them 9-12 tokens
+        so that attention sums run past numpy's 8-element pairwise block:
+        the one ragged row batch gives the loss and gradient of walking
+        each sentence alone, byte for byte."""
+        params, vocab, _ = random_model(data.draw)
+        src_lens = [data.draw(st.integers(9, 12))] + data.draw(
+            st.lists(st.integers(1, 12), max_size=5))
+        batch = []
+        for _ in range(n_pairs):
+            src_len = data.draw(st.sampled_from(src_lens))
+            src = st.lists(st.integers(1, 5), min_size=src_len, max_size=src_len)
+            body = st.lists(st.integers(2, vocab - 1), max_size=11)
             batch.append((data.draw(src), data.draw(body) + [EOS]))
         loss, grad = mle_loss_and_grad(params, batch)
         ref_loss, ref_grad = reference_mle_loss_and_grad(params, batch)
